@@ -14,6 +14,7 @@ from .core import (
     DiagonalState,
     Operator,
     SpinSystem,
+    XorPermutation,
     conjugate,
     expectation,
     maximally_mixed,
@@ -66,6 +67,7 @@ __all__ = [
     "TruthTable",
     "TruthTableError",
     "Verdict",
+    "XorPermutation",
     "classical_dj",
     "classify",
     "classify_signal",

@@ -12,13 +12,15 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import CapacityError, SpinSystem
+from .core import CapacityError, SpinSystem, ensure_capacity
 from .oracle import (
     OracleClass,
     TruthTable,
@@ -175,16 +177,24 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _resolve_table(source: str, n: int | None, seed: int | None) -> TruthTable:
+def _resolve_table(
+    source: str,
+    n: int | None,
+    seed: int | None,
+    ensure_fits: Callable[[int], None] = lambda arity: None,
+) -> TruthTable:
+    """Build or load the table; ``ensure_fits(arity)`` runs before a
+    generated table is allocated and right after a file is loaded."""
     if source in _GENERATED_SOURCES:
         if n is None:
             raise UsageError(f"--n is required with --oracle {source}")
+        if seed is None and source not in ("constant0", "constant1"):
+            raise UsageError(f"--seed is required with --oracle {source}")
+        ensure_fits(n)
         if source == "constant0":
             return TruthTable.constant(n, 0)
         if source == "constant1":
             return TruthTable.constant(n, 1)
-        if seed is None:
-            raise UsageError(f"--seed is required with --oracle {source}")
         if source == "balanced-random":
             return random_balanced(n, seed)
         return random_table(n, seed)
@@ -192,7 +202,21 @@ def _resolve_table(source: str, n: int | None, seed: int | None) -> TruthTable:
     table = load_truth_table(path)
     if n is not None and table.n != n:
         raise UsageError(f"--n {n} does not match table arity {table.n} from {path}")
+    ensure_fits(table.n)
     return table
+
+
+def _ensure_fits(cfg: ExperimentConfig, n: int) -> None:
+    """Raise :class:`CapacityError` if ``n`` inputs exceed a backend the command uses.
+
+    The pseudo-pure baseline (every sweep, and a run given --epsilon or
+    --thermal-p) always runs dense. The dense limit is the lower one, so
+    it covers the diagonal backend too.
+    """
+    pseudo_pure = cfg.command == "sweep" or cfg.epsilon is not None or cfg.thermal_p is not None
+    dense = pseudo_pure or cfg.backend in ("dense", "both")
+    n_spins = n + 1 + int(cfg.detection == "separate")
+    ensure_capacity(n_spins, "dense" if dense else "diagonal", cfg.max_spins)
 
 
 def _pseudo_pure_config(cfg: ExperimentConfig) -> PseudoPureConfig | None:
@@ -225,7 +249,9 @@ def _record(protocol: str, n: int, oracle_class: OracleClass, outcome: Outcome, 
 
 
 def cmd_run(cfg: ExperimentConfig) -> dict:
-    table = _resolve_table(cfg.oracle_source, cfg.n, cfg.seed)
+    table = _resolve_table(
+        cfg.oracle_source, cfg.n, cfg.seed, lambda arity: _ensure_fits(cfg, arity)
+    )
     system = SpinSystem(table.n, has_detection_spin=(cfg.detection == "separate"))
     oracle_class = classify(table)
     pp_config = _pseudo_pure_config(cfg)
@@ -271,6 +297,7 @@ def cmd_run(cfg: ExperimentConfig) -> dict:
 def cmd_sweep(cfg: ExperimentConfig) -> dict:
     if cfg.seed is None:
         raise UsageError("--seed is required for sweep (balanced tables are random)")
+    _ensure_fits(cfg, cfg.n_max)
     pp_config = _pseudo_pure_config(cfg) or PseudoPureConfig(thermal_p=_DEFAULT_THERMAL_P)
     rng = np.random.default_rng(cfg.seed)
 
@@ -361,6 +388,11 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
             handle.write(text)
 
 
+def _check_seed(seed: int | None) -> None:
+    if seed is not None and not 0 <= seed < 2**64:
+        raise UsageError(f"--seed must be an unsigned 64-bit integer, got {seed}")
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(
         command=args.command,
@@ -376,8 +408,14 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         out=getattr(args, "out", None),
         max_spins=getattr(args, "max_spins", None),
     )
-    if cfg.seed is not None and cfg.seed < 0:
-        raise UsageError("--seed must be a non-negative integer")
+    _check_seed(cfg.seed)
+    if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
+        raise UsageError(f"--tolerance must be a positive finite number, got {cfg.tolerance!r}")
+    for flag, value in (("--epsilon", cfg.epsilon), ("--thermal-p", cfg.thermal_p)):
+        if value is not None and not 0.0 < value <= 1.0:
+            raise UsageError(f"{flag} must lie in (0, 1], got {value!r}")
+    if cfg.trials < 0:
+        raise UsageError(f"--trials must be non-negative, got {cfg.trials}")
     if cfg.max_spins is not None:
         print(
             f"warning: capacity limit raised to {cfg.max_spins} spins; "
@@ -396,6 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "oracle":
+            _check_seed(args.seed)
             sys.stdout.write(cmd_oracle(args.oracle, args.n, args.seed))
             return EXIT_OK
         cfg = _config_from_args(args)

@@ -243,6 +243,55 @@ class BasisPermutation:
         return f"BasisPermutation(dim={self.dim})"
 
 
+class XorPermutation(BasisPermutation):
+    """Flip one spin wherever a mask over the other spins is set.
+
+    ``|i> -> |i ^ (control(i) << bit(target))>``. ``control`` is a boolean
+    array read against the register viewed as ``(2,)*N`` (axis k is spin
+    k): each axis has length 2, or 1 where the mask does not depend on
+    that spin, and the ``target`` axis always has length 1. A mask that
+    ignores the bit it flips makes the map an involution, hence a
+    bijection, so no index array is built or checked. The oracle
+    ``y ^= f(x)``, FANOUT and inversion all take this form.
+    """
+
+    __slots__ = ("target", "control")
+
+    def __init__(self, target: int, control):
+        control = np.asarray(control)
+        if control.dtype != np.bool_:
+            raise ValueError("control mask must be boolean")
+        if control.ndim < 1 or any(size not in (1, 2) for size in control.shape):
+            raise ValueError("control mask needs one axis of length 1 or 2 per spin")
+        if not 0 <= target < control.ndim:
+            raise ValueError(f"target spin {target} out of range for {control.ndim} spins")
+        if control.shape[target] != 1:
+            raise ValueError("control mask must not depend on the target spin")
+        self.target = target
+        self.control = control
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.control.ndim
+
+    @property
+    def mapping(self) -> np.ndarray:
+        """The index form ``|i> -> |mapping[i]>``, built anew on each access."""
+        n_spins = self.control.ndim
+        indices = np.arange(self.dim).reshape((2,) * n_spins)
+        flip = self.control.astype(np.int64) << (n_spins - 1 - self.target)
+        return (indices ^ flip).reshape(-1)
+
+    def inverse(self) -> "XorPermutation":
+        return self
+
+    def is_identity(self) -> bool:
+        return not self.control.any()
+
+    def __repr__(self) -> str:
+        return f"XorPermutation(dim={self.dim}, target={self.target})"
+
+
 class DensityOperator:
     """Hermitian matrix over the Zeeman basis (dense backend).
 
@@ -354,10 +403,6 @@ def pauli_z_diagonal(system: SpinSystem, spin: int) -> np.ndarray:
     return 1.0 - 2.0 * ((np.arange(system.dim) >> pos) & 1)
 
 
-def identity_operator(system: SpinSystem) -> Operator:
-    return Operator.identity(system.dim)
-
-
 def zeeman_product_state(system: SpinSystem, config: str) -> DensityOperator:
     """Projector onto one Zeeman product state, e.g. ``"010"`` (0=alpha)."""
     index = system.basis_index(config)
@@ -396,6 +441,7 @@ def conjugate(state, transform):
 
     ``transform`` may be a :class:`BasisPermutation`, a permutation-kind
     :class:`Operator`, or (dense states only) any unitary :class:`Operator`.
+    The input state is never modified.
     """
     if isinstance(transform, Operator):
         if state.dim != transform.dim:
@@ -416,6 +462,11 @@ def conjugate(state, transform):
         if state.dim != transform.dim:
             raise ValueError("dimension mismatch between state and transform")
         if isinstance(state, DiagonalState):
+            if isinstance(transform, XorPermutation):
+                # Masked swap along the target axis; np.flip is a view.
+                spins = state.populations.reshape((2,) * transform.control.ndim)
+                moved = np.where(transform.control, np.flip(spins, transform.target), spins)
+                return DiagonalState(moved.reshape(-1), check=False)
             moved = np.empty_like(state.populations)
             moved[transform.mapping] = state.populations
             return DiagonalState(moved, check=False)

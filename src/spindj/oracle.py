@@ -14,7 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BasisPermutation, DensityOperator, DiagonalState, SpinSystem, conjugate
+from .core import (
+    BasisPermutation,
+    DensityOperator,
+    DiagonalState,
+    SpinSystem,
+    XorPermutation,
+    conjugate,
+)
 
 
 class TruthTableError(ValueError):
@@ -92,22 +99,21 @@ def classify(table: TruthTable) -> OracleClass:
     return OracleClass.NEITHER
 
 
-def reversible_oracle(system: SpinSystem, table: TruthTable) -> BasisPermutation:
+def reversible_oracle(system: SpinSystem, table: TruthTable) -> XorPermutation:
     """Permutation |y, x> -> |y ^ f(x), x> over the full register.
 
     The ancilla bit y is spin I0 (the most significant bit); a separate
     detection spin, when present, is untouched. XOR makes the permutation
-    an involution.
+    an involution. The control mask is the truth table itself, viewed
+    without a copy with one axis per input spin and length-1 axes for the
+    ancilla and the detection spin.
     """
     if table.n != system.n_inputs:
         raise ValueError(
             f"table arity {table.n} does not match {system.n_inputs} input spins"
         )
-    indices = np.arange(system.dim)
-    input_shift = 1 if system.has_detection_spin else 0
-    x = (indices >> input_shift) & ((1 << system.n_inputs) - 1)
-    flip = table.bits[x].astype(np.int64) << system.bit_position(system.ancilla)
-    return BasisPermutation(indices ^ flip)
+    shape = (1,) + (2,) * system.n_inputs + (1,) * int(system.has_detection_spin)
+    return XorPermutation(system.ancilla, table.bits.view(np.bool_).reshape(shape))
 
 
 def oracle_channel(

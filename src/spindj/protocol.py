@@ -33,7 +33,6 @@ from .core import (
     ensure_capacity,
     expectation,
     pauli_z,
-    pauli_z_diagonal,
     polarization_operator,
     to_dense,
     zeeman_product_state,
@@ -116,10 +115,8 @@ def prepare_liouville_input(system: SpinSystem) -> DiagonalState:
     elsewhere.
     """
     populations = np.zeros(system.dim)
-    weight = 1.0 / (1 << system.n_inputs)
-    input_shift = 1 if system.has_detection_spin else 0
-    for x in range(1 << system.n_inputs):
-        populations[x << input_shift] = weight
+    # Axes: I0, the inputs as one axis, the detection spin (length 1 if absent).
+    populations.reshape(2, 1 << system.n_inputs, -1)[0, :, 0] = 1.0 / (1 << system.n_inputs)
     return DiagonalState(populations, check=False)
 
 
@@ -151,7 +148,9 @@ def classify_signal(signal: float, tol: float = DEFAULT_SIGNAL_TOL) -> Verdict:
 
 def _longitudinal_signal(state, system: SpinSystem, spin: int) -> float:
     if isinstance(state, DiagonalState):
-        return float(state.populations @ pauli_z_diagonal(system, spin))
+        # 2Iz is +1 on alpha and -1 on beta: alpha half-sum minus beta half-sum.
+        halves = state.populations.reshape(1 << spin, 2, -1)
+        return float(halves[:, 0].sum() - halves[:, 1].sum())
     return expectation(state, pauli_z(system, spin))
 
 

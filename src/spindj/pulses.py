@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BasisPermutation,
     DensityOperator,
     DiagonalState,
     Operator,
     SpinSystem,
+    XorPermutation,
     embed,
 )
 
@@ -73,7 +73,7 @@ def crusher(state: DensityOperator) -> DiagonalState:
     return DiagonalState(np.diag(state.matrix).real.copy(), check=False)
 
 
-def fanout_unitary(system: SpinSystem, control: int, target: int) -> BasisPermutation:
+def fanout_unitary(system: SpinSystem, control: int, target: int) -> XorPermutation:
     """Reversible copy: XOR the control spin's bit onto the target spin.
 
     With the target prepared in alpha this copies the control's classical
@@ -83,13 +83,12 @@ def fanout_unitary(system: SpinSystem, control: int, target: int) -> BasisPermut
     system.check_spin(target)
     if control == target:
         raise ValueError("fanout control and target must differ")
-    indices = np.arange(system.dim)
-    control_bit = (indices >> system.bit_position(control)) & 1
-    return BasisPermutation(indices ^ (control_bit << system.bit_position(target)))
+    shape = [1] * system.n_spins
+    shape[control] = 2
+    return XorPermutation(target, np.array([False, True]).reshape(shape))
 
 
-def inversion_unitary(system: SpinSystem, target: int) -> BasisPermutation:
+def inversion_unitary(system: SpinSystem, target: int) -> XorPermutation:
     """Pi pulse on one spin as the alpha/beta-swapping basis permutation."""
     system.check_spin(target)
-    indices = np.arange(system.dim)
-    return BasisPermutation(indices ^ (1 << system.bit_position(target)))
+    return XorPermutation(target, np.ones((1,) * system.n_spins, dtype=bool))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,15 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_usage_error(capsys, flag, *argv):
+    """Exit 1 with a one-line message that names ``flag``."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and flag in err
+    assert err.count("\n") == 1
 
 
 def strip_wall_times(report):
@@ -94,6 +104,31 @@ class TestRunCommand:
         code, _, _ = run_cli(capsys, "run", "--n", "30", "--oracle", "constant0")
         assert code == 4
 
+    def test_capacity_is_checked_before_the_table_is_built(self, capsys):
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, "run", "--n", "30", "--oracle", "constant0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert err.startswith("capacity error: 31 spins")
+        assert peak < 1 << 20
+
+    def test_capacity_counts_the_dense_baseline(self, capsys):
+        # 13 inputs + ancilla = 14 spins: fine on the diagonal backend, not dense.
+        argv = ["run", "--n", "13", "--oracle", "constant0"]
+        assert run_cli(capsys, *argv)[0] == 0
+        assert run_cli(capsys, *argv, "--backend", "both")[0] == 4
+        assert run_cli(capsys, *argv, "--thermal-p", "1e-5")[0] == 4
+
+    def test_capacity_of_a_loaded_table(self, capsys, tmp_path):
+        path = tmp_path / "wide.tt"
+        path.write_text("01" * 4096 + "\n")  # n = 13
+        code, _, err = run_cli(capsys, "run", "--oracle", str(path), "--backend", "dense")
+        assert code == 4
+        assert "dense" in err
+
     def test_max_spins_override_warns(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -116,6 +151,36 @@ class TestRunCommand:
         path.write_text("0110\n")
         code, _, _ = run_cli(capsys, "run", "--n", "3", "--oracle", str(path))
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["0", "-1e-6", "nan", "inf"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, value):
+        assert_usage_error(
+            capsys, "--tolerance", "run", "--n", "2", "--oracle", "constant0",
+            "--tolerance", value,
+        )
+
+    @pytest.mark.parametrize("value", ["2", "0", "-0.5", "nan"])
+    def test_epsilon_must_lie_in_unit_interval(self, capsys, value):
+        assert_usage_error(
+            capsys, "--epsilon", "run", "--n", "2", "--oracle", "constant0",
+            "--epsilon", value,
+        )
+
+    @pytest.mark.parametrize("value", ["1.5", "0", "nan"])
+    def test_thermal_p_must_lie_in_unit_interval(self, capsys, value):
+        assert_usage_error(
+            capsys, "--thermal-p", "sweep", "--n", "1..2", "--seed", "1",
+            "--thermal-p", value,
+        )
+
+    def test_seed_must_fit_in_u64(self, capsys):
+        argv = ["run", "--n", "2", "--oracle", "balanced-random", "--seed"]
+        assert run_cli(capsys, *argv, str(2**64 - 1))[0] == 0
+        assert_usage_error(capsys, "--seed", *argv, str(2**64))
+        assert_usage_error(capsys, "--seed", *argv, "-1")
+        assert_usage_error(
+            capsys, "--seed", "oracle", "--n", "2", "--oracle", "random", "--seed", "-1"
+        )
 
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "run", "--oracle", "constant0", "--bogus")
@@ -219,6 +284,22 @@ class TestSweepCommand:
         # n=14 makes the pseudo-pure column need 15 spins dense: over the limit
         code, _, _ = run_cli(capsys, "sweep", "--n", "14..16", "--seed", "1", "--trials", "1")
         assert code == 4
+
+    def test_negative_trials_rejected(self, capsys):
+        argv = ["sweep", "--n", "1..2", "--seed", "1", "--trials"]
+        assert run_cli(capsys, *argv, "0")[0] == 0
+        assert_usage_error(capsys, "--trials", *argv, "-1")
+
+    def test_capacity_is_checked_before_any_row(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "sweep", "--n", "1..30", "--seed", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert out == ""
+        assert peak < 1 << 20
 
 
 class TestOracleCommand:

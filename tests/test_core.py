@@ -11,6 +11,7 @@ from spindj.core import (
     DiagonalState,
     Operator,
     SpinSystem,
+    XorPermutation,
     conjugate,
     ensure_capacity,
     expectation,
@@ -25,6 +26,8 @@ from spindj.core import (
     von_neumann_entropy,
     zeeman_product_state,
 )
+from spindj.oracle import TruthTable, reversible_oracle
+from spindj.pulses import fanout_unitary, inversion_unitary
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -366,6 +369,71 @@ class TestOperatorKinds:
         b = BasisPermutation(rng.permutation(8))
         composed = (a @ b).to_operator().matrix
         assert_allclose(composed, a.to_operator().matrix @ b.to_operator().matrix)
+
+
+def xor_maps_up_to_five_spins():
+    """Every oracle at n <= 3 (with and without a detection spin), every
+    FANOUT control/target pair and every inversion target, N <= 5."""
+    for n in (1, 2, 3):
+        for separate in (False, True):
+            system = SpinSystem(n, has_detection_spin=separate)
+            for bits in itertools.product((0, 1), repeat=1 << n):
+                yield reversible_oracle(system, TruthTable(bits))
+    for n_spins in range(2, 6):
+        system = SpinSystem(n_spins - 1)
+        for target in range(n_spins):
+            yield inversion_unitary(system, target)
+            for control in range(n_spins):
+                if control != target:
+                    yield fanout_unitary(system, control, target)
+
+
+class TestXorPermutation:
+    def test_masked_swap_equals_index_permutation_exhaustively(self):
+        rng = np.random.default_rng(71)
+        count = 0
+        for xor in xor_maps_up_to_five_spins():
+            generic = BasisPermutation(xor.mapping)
+            assert xor.inverse() is xor and xor == generic
+            assert xor.is_identity() == generic.is_identity()
+            populations = rng.random(xor.dim)
+            state = DiagonalState(populations / populations.sum())
+            got = conjugate(state, xor).populations
+            assert np.array_equal(got, conjugate(state, generic).populations)
+            dense = conjugate(to_dense(state), xor).matrix
+            assert np.array_equal(dense, conjugate(to_dense(state), generic).matrix)
+            count += 1
+        assert count == 2 * (4 + 16 + 256) + sum(n * n for n in range(2, 6))
+
+    def test_input_state_is_not_mutated(self):
+        rng = np.random.default_rng(72)
+        system = SpinSystem(3, has_detection_spin=True)
+        populations = rng.random(system.dim)
+        populations /= populations.sum()
+        before = populations.copy()
+        state = DiagonalState(populations)
+        for xor in (
+            reversible_oracle(system, TruthTable.from_string("01101001")),
+            fanout_unitary(system, 0, 4),
+            inversion_unitary(system, 2),
+        ):
+            out = conjugate(state, xor)
+            assert not np.shares_memory(out.populations, populations)
+            assert np.array_equal(populations, before)
+
+    def test_rejects_non_boolean_control(self):
+        with pytest.raises(ValueError, match="boolean"):
+            XorPermutation(0, np.ones((1, 2), dtype=np.uint8))
+
+    def test_rejects_control_that_reads_the_target(self):
+        with pytest.raises(ValueError, match="target"):
+            XorPermutation(0, np.array([[True, False], [False, True]]))
+
+    def test_rejects_axes_that_are_not_spins(self):
+        with pytest.raises(ValueError):
+            XorPermutation(0, np.ones((1, 3), dtype=bool))
+        with pytest.raises(ValueError):
+            XorPermutation(2, np.ones((1, 2), dtype=bool))
 
 
 class TestStateValidation:

@@ -2,11 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import spindj.protocol as protocol
 from spindj.core import CapacityError, SpinSystem, von_neumann_entropy
-from spindj.oracle import TruthTable, oracle_channel, random_balanced, random_table
+from spindj.oracle import (
+    TruthTable,
+    oracle_channel,
+    random_balanced,
+    random_constant,
+    random_table,
+)
 from spindj.protocol import (
     Outcome,
     PseudoPureConfig,
@@ -122,6 +130,22 @@ class TestLiouvilleRun:
             system = SpinSystem(n, has_detection_spin=separate)
             out = run_liouville_dj(system, table, backend)
             assert abs(out.signal - brute_force_signal(table)) < 1e-12
+
+    @settings(deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**64 - 1),
+        make=st.sampled_from([random_table, random_balanced, random_constant]),
+        separate=st.booleans(),
+    )
+    def test_signal_is_exactly_the_mean_of_minus_one_to_the_f(self, n, seed, make, separate):
+        table = make(n, seed)
+        system = SpinSystem(n, has_detection_spin=separate)
+        signal = run_liouville_dj(system, table).signal
+        # 2^-n * sum_x (-1)^f(x), exact: the numerator is an integer below 2^53.
+        assert signal == (len(table) - 2 * table.ones) / len(table)
+        if n <= 6:
+            assert abs(run_liouville_dj(system, table, "dense").signal - signal) < 1e-12
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
