@@ -14,7 +14,6 @@ from .core import (
     DiagonalState,
     Operator,
     SpinSystem,
-    XorPermutation,
     conjugate,
     expectation,
     maximally_mixed,
@@ -67,7 +66,6 @@ __all__ = [
     "TruthTable",
     "TruthTableError",
     "Verdict",
-    "XorPermutation",
     "classical_dj",
     "classify",
     "classify_signal",

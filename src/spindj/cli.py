@@ -181,7 +181,7 @@ def _resolve_table(
     source: str,
     n: int | None,
     seed: int | None,
-    ensure_fits: Callable[[int], None] = lambda arity: None,
+    ensure_fits: Callable[[int], None],
 ) -> TruthTable:
     """Build or load the table; ``ensure_fits(arity)`` runs before a
     generated table is allocated and right after a file is loaded."""
@@ -344,7 +344,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_oracle(source: str, n: int | None, seed: int | None) -> str:
-    table = _resolve_table(source, n, seed)
+    # The listed oracle acts on the inputs and the ancilla.
+    table = _resolve_table(
+        source, n, seed, lambda arity: ensure_capacity(arity + 1, "diagonal")
+    )
     oracle_class = classify(table)
     lines = [f"n={table.n}, {oracle_class.value}, ones={table.ones}"]
     if oracle_class is OracleClass.NEITHER:
@@ -396,17 +399,18 @@ def _check_seed(seed: int | None) -> None:
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(
         command=args.command,
+        # Only run has --oracle and only sweep has --trials.
         oracle_source=getattr(args, "oracle", None),
         seed=args.seed,
-        backend=getattr(args, "backend", "diagonal"),
-        detection=getattr(args, "detection", "ancilla"),
-        epsilon=getattr(args, "epsilon", None),
-        thermal_p=getattr(args, "thermal_p", None),
-        tolerance=getattr(args, "tolerance", DEFAULT_SIGNAL_TOL),
+        backend=args.backend,
+        detection=args.detection,
+        epsilon=args.epsilon,
+        thermal_p=args.thermal_p,
+        tolerance=args.tolerance,
         trials=getattr(args, "trials", 20),
-        fmt=getattr(args, "fmt", "json"),
-        out=getattr(args, "out", None),
-        max_spins=getattr(args, "max_spins", None),
+        fmt=args.fmt,
+        out=args.out,
+        max_spins=args.max_spins,
     )
     _check_seed(cfg.seed)
     if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):

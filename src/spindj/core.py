@@ -132,119 +132,37 @@ def is_permutation_matrix(matrix: np.ndarray, tol: float = UNITARY_TOL) -> bool:
 
 
 class Operator:
-    """Dense operator on the Zeeman basis with a structural kind tag.
+    """Dense operator on the Zeeman basis.
 
-    ``kind`` is one of ``"general"``, ``"unitary"`` or ``"permutation"``;
-    the latter two are verified at construction time.
+    ``unitary=True`` marks a unitary; the matrix is verified at
+    construction unless ``check=False``. :func:`conjugate` verifies any
+    operator not so marked before applying it.
     """
 
-    KINDS = ("general", "unitary", "permutation")
+    __slots__ = ("matrix", "unitary")
 
-    __slots__ = ("matrix", "kind")
-
-    def __init__(self, matrix, kind: str = "general", *, check: bool = True):
+    def __init__(self, matrix, *, unitary: bool = False, check: bool = True):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("operator matrix must be square")
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown operator kind {kind!r}")
-        if check and kind == "unitary" and not is_unitary_matrix(matrix):
+        if unitary and check and not is_unitary_matrix(matrix):
             raise ValueError("matrix is not unitary within tolerance")
-        if check and kind == "permutation" and not is_permutation_matrix(matrix):
-            raise ValueError("matrix is not a basis permutation within tolerance")
         self.matrix = matrix
-        self.kind = kind
-
-    @classmethod
-    def identity(cls, dim: int) -> "Operator":
-        return cls(np.eye(dim, dtype=complex), kind="permutation", check=False)
+        self.unitary = unitary
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, kind=self.kind, check=False)
-
     def diagonal(self) -> np.ndarray:
         return np.diag(self.matrix).copy()
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        kind = "general"
-        if self.kind == other.kind == "permutation":
-            kind = "permutation"
-        elif self.kind in ("unitary", "permutation") and other.kind in ("unitary", "permutation"):
-            kind = "unitary"
-        return Operator(self.matrix @ other.matrix, kind=kind, check=False)
-
     def __repr__(self) -> str:
-        return f"Operator(dim={self.dim}, kind={self.kind!r})"
+        return f"Operator(dim={self.dim}, unitary={self.unitary})"
 
 
 class BasisPermutation:
-    """Unitary that maps Zeeman basis states onto Zeeman basis states.
-
-    Stored as the index mapping ``|i> -> |mapping[i]>`` so it scales to
-    register sizes where a dense matrix would not fit, and so it can act
-    on the diagonal backend directly. Any phases a physical realization
-    would carry are discarded; populations never see them.
-    """
-
-    __slots__ = ("mapping",)
-
-    def __init__(self, mapping):
-        mapping = np.asarray(mapping, dtype=np.int64)
-        dim = mapping.shape[0]
-        if mapping.ndim != 1 or not np.array_equal(np.sort(mapping), np.arange(dim)):
-            raise ValueError("mapping is not a bijection on the basis indices")
-        self.mapping = mapping
-
-    @classmethod
-    def identity(cls, dim: int) -> "BasisPermutation":
-        return cls(np.arange(dim))
-
-    @classmethod
-    def from_operator(cls, op: Operator, tol: float = UNITARY_TOL) -> "BasisPermutation":
-        if not is_permutation_matrix(op.matrix, tol):
-            raise ValueError("operator is not a basis permutation within tolerance")
-        # U|j> = phase * |i> with i the single large row index of column j.
-        return cls(np.argmax(np.abs(op.matrix), axis=0))
-
-    @property
-    def dim(self) -> int:
-        return self.mapping.shape[0]
-
-    def __call__(self, index: int) -> int:
-        return int(self.mapping[index])
-
-    def __matmul__(self, other: "BasisPermutation") -> "BasisPermutation":
-        """Composition: ``(a @ b)(i) == a(b(i))``, matching operator products."""
-        return BasisPermutation(self.mapping[other.mapping])
-
-    def inverse(self) -> "BasisPermutation":
-        inv = np.empty_like(self.mapping)
-        inv[self.mapping] = np.arange(self.dim)
-        return BasisPermutation(inv)
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.mapping, np.arange(self.dim)))
-
-    def to_operator(self) -> Operator:
-        matrix = np.zeros((self.dim, self.dim), dtype=complex)
-        matrix[self.mapping, np.arange(self.dim)] = 1.0
-        return Operator(matrix, kind="permutation", check=False)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BasisPermutation) and np.array_equal(
-            self.mapping, other.mapping
-        )
-
-    def __repr__(self) -> str:
-        return f"BasisPermutation(dim={self.dim})"
-
-
-class XorPermutation(BasisPermutation):
-    """Flip one spin wherever a mask over the other spins is set.
+    """XOR map of the Zeeman basis: flip one spin wherever a mask over the others is set.
 
     ``|i> -> |i ^ (control(i) << bit(target))>``. ``control`` is a boolean
     array read against the register viewed as ``(2,)*N`` (axis k is spin
@@ -252,7 +170,9 @@ class XorPermutation(BasisPermutation):
     that spin, and the ``target`` axis always has length 1. A mask that
     ignores the bit it flips makes the map an involution, hence a
     bijection, so no index array is built or checked. The oracle
-    ``y ^= f(x)``, FANOUT and inversion all take this form.
+    ``y ^= f(x)``, FANOUT and inversion all take this form. Any phases a
+    physical realization would carry are discarded; populations never
+    see them.
     """
 
     __slots__ = ("target", "control")
@@ -282,14 +202,16 @@ class XorPermutation(BasisPermutation):
         flip = self.control.astype(np.int64) << (n_spins - 1 - self.target)
         return (indices ^ flip).reshape(-1)
 
-    def inverse(self) -> "XorPermutation":
-        return self
+    def __call__(self, index: int) -> int:
+        return int(self.mapping[index])
 
-    def is_identity(self) -> bool:
-        return not self.control.any()
+    def to_operator(self) -> Operator:
+        matrix = np.zeros((self.dim, self.dim), dtype=complex)
+        matrix[self.mapping, np.arange(self.dim)] = 1.0
+        return Operator(matrix, unitary=True, check=False)
 
     def __repr__(self) -> str:
-        return f"XorPermutation(dim={self.dim}, target={self.target})"
+        return f"BasisPermutation(dim={self.dim}, target={self.target})"
 
 
 class DensityOperator:
@@ -323,9 +245,6 @@ class DensityOperator:
 
     def __add__(self, other: "DensityOperator") -> "DensityOperator":
         return DensityOperator(self.matrix + other.matrix, check=False)
-
-    def __sub__(self, other: "DensityOperator") -> "DensityOperator":
-        return DensityOperator(self.matrix - other.matrix, check=False)
 
     def __mul__(self, weight) -> "DensityOperator":
         if not isinstance(weight, (int, float)):
@@ -439,42 +358,34 @@ def expectation(state: DensityOperator | DiagonalState, observable: Operator) ->
 def conjugate(state, transform):
     """Map ``rho -> U rho U^†``, staying on the state's backend.
 
-    ``transform`` may be a :class:`BasisPermutation`, a permutation-kind
-    :class:`Operator`, or (dense states only) any unitary :class:`Operator`.
-    The input state is never modified.
+    ``transform`` is a :class:`BasisPermutation` or, on dense states
+    only, a unitary :class:`Operator`. The input state is never modified.
     """
-    if isinstance(transform, Operator):
-        if state.dim != transform.dim:
-            raise ValueError("dimension mismatch between state and transform")
-        if isinstance(state, DiagonalState):
-            if transform.kind != "permutation":
-                raise ValueError(
-                    "diagonal states only support basis permutations; "
-                    "convert with to_dense() for general unitaries"
-                )
-            return conjugate(state, BasisPermutation.from_operator(transform))
-        if transform.kind == "general" and not is_unitary_matrix(transform.matrix):
-            raise ValueError("transform is not unitary within tolerance")
-        u = transform.matrix
-        return DensityOperator(u @ state.matrix @ u.conj().T, check=False)
+    if not isinstance(transform, (BasisPermutation, Operator)):
+        raise TypeError(f"cannot conjugate by {type(transform).__name__}")
+    if state.dim != transform.dim:
+        raise ValueError("dimension mismatch between state and transform")
 
     if isinstance(transform, BasisPermutation):
-        if state.dim != transform.dim:
-            raise ValueError("dimension mismatch between state and transform")
         if isinstance(state, DiagonalState):
-            if isinstance(transform, XorPermutation):
-                # Masked swap along the target axis; np.flip is a view.
-                spins = state.populations.reshape((2,) * transform.control.ndim)
-                moved = np.where(transform.control, np.flip(spins, transform.target), spins)
-                return DiagonalState(moved.reshape(-1), check=False)
-            moved = np.empty_like(state.populations)
-            moved[transform.mapping] = state.populations
-            return DiagonalState(moved, check=False)
-        # (U rho U^dagger)[a, b] = rho[inv(a), inv(b)]
-        inv = transform.inverse().mapping
-        return DensityOperator(state.matrix[np.ix_(inv, inv)], check=False)
+            # Masked swap along the target axis; np.flip is a view.
+            spins = state.populations.reshape((2,) * transform.control.ndim)
+            moved = np.where(transform.control, np.flip(spins, transform.target), spins)
+            return DiagonalState(moved.reshape(-1), check=False)
+        # (U rho U^†)[a, b] = rho[m^-1(a), m^-1(b)] for the map m, and an XOR
+        # map is an involution (m^-1 = m), so the mapping is the gather index.
+        mapping = transform.mapping
+        return DensityOperator(state.matrix[np.ix_(mapping, mapping)], check=False)
 
-    raise TypeError(f"cannot conjugate by {type(transform).__name__}")
+    if isinstance(state, DiagonalState):
+        raise ValueError(
+            "diagonal states only support basis permutations; "
+            "convert with to_dense() for general unitaries"
+        )
+    if not transform.unitary and not is_unitary_matrix(transform.matrix):
+        raise ValueError("transform is not unitary within tolerance")
+    u = transform.matrix
+    return DensityOperator(u @ state.matrix @ u.conj().T, check=False)
 
 
 def to_dense(state: DiagonalState) -> DensityOperator:

@@ -19,7 +19,6 @@ from .core import (
     DensityOperator,
     DiagonalState,
     SpinSystem,
-    XorPermutation,
     conjugate,
 )
 
@@ -99,7 +98,7 @@ def classify(table: TruthTable) -> OracleClass:
     return OracleClass.NEITHER
 
 
-def reversible_oracle(system: SpinSystem, table: TruthTable) -> XorPermutation:
+def reversible_oracle(system: SpinSystem, table: TruthTable) -> BasisPermutation:
     """Permutation |y, x> -> |y ^ f(x), x> over the full register.
 
     The ancilla bit y is spin I0 (the most significant bit); a separate
@@ -113,7 +112,7 @@ def reversible_oracle(system: SpinSystem, table: TruthTable) -> XorPermutation:
             f"table arity {table.n} does not match {system.n_inputs} input spins"
         )
     shape = (1,) + (2,) * system.n_inputs + (1,) * int(system.has_detection_spin)
-    return XorPermutation(system.ancilla, table.bits.view(np.bool_).reshape(shape))
+    return BasisPermutation(system.ancilla, table.bits.view(np.bool_).reshape(shape))
 
 
 def oracle_channel(

@@ -32,7 +32,6 @@ from .core import (
     embed,
     ensure_capacity,
     expectation,
-    pauli_z,
     polarization_operator,
     to_dense,
     zeeman_product_state,
@@ -146,12 +145,18 @@ def classify_signal(signal: float, tol: float = DEFAULT_SIGNAL_TOL) -> Verdict:
     return Verdict.BALANCED
 
 
-def _longitudinal_signal(state, system: SpinSystem, spin: int) -> float:
+def _longitudinal_signal(state, spin: int) -> float:
+    """Tr(rho * 2Iz) of one spin, read from the populations alone.
+
+    2Iz is diagonal (+1 on alpha, -1 on beta), so coherences never
+    contribute: the signal is the alpha half-sum minus the beta half-sum.
+    """
     if isinstance(state, DiagonalState):
-        # 2Iz is +1 on alpha and -1 on beta: alpha half-sum minus beta half-sum.
-        halves = state.populations.reshape(1 << spin, 2, -1)
-        return float(halves[:, 0].sum() - halves[:, 1].sum())
-    return expectation(state, pauli_z(system, spin))
+        populations = state.populations
+    else:
+        populations = state.matrix.diagonal().real
+    halves = populations.reshape(1 << spin, 2, -1)
+    return float(halves[:, 0].sum() - halves[:, 1].sum())
 
 
 def run_liouville_dj(
@@ -186,7 +191,7 @@ def run_liouville_dj(
         copy = fanout_unitary(system, system.ancilla, system.detection)
         state = conjugate(state, copy)
 
-    signal = _longitudinal_signal(state, system, system.detection)
+    signal = _longitudinal_signal(state, system.detection)
     return Outcome(signal, classify_signal(signal, tolerance), evaluations, backend)
 
 
@@ -205,7 +210,7 @@ def pseudo_pure_state(system: SpinSystem, config: PseudoPureConfig) -> DensityOp
 
 
 def _basis_change(system: SpinSystem, blocks: dict[int, np.ndarray]) -> Operator:
-    return Operator(embed(system, blocks), kind="unitary", check=False)
+    return Operator(embed(system, blocks), unitary=True, check=False)
 
 
 def run_pseudo_pure_dj(

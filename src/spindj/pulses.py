@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BasisPermutation,
     DensityOperator,
     DiagonalState,
     Operator,
     SpinSystem,
-    XorPermutation,
     embed,
 )
 
@@ -61,7 +61,7 @@ def rotation_unitary(system: SpinSystem, spec: PulseSpec) -> Operator:
         system.check_spin(spin)
     block = _single_spin_rotation(spec.axis, spec.angle)
     matrix = embed(system, {spin: block for spin in spec.targets})
-    return Operator(matrix, kind="unitary")
+    return Operator(matrix, unitary=True)
 
 
 def crusher(state: DensityOperator) -> DiagonalState:
@@ -73,7 +73,7 @@ def crusher(state: DensityOperator) -> DiagonalState:
     return DiagonalState(np.diag(state.matrix).real.copy(), check=False)
 
 
-def fanout_unitary(system: SpinSystem, control: int, target: int) -> XorPermutation:
+def fanout_unitary(system: SpinSystem, control: int, target: int) -> BasisPermutation:
     """Reversible copy: XOR the control spin's bit onto the target spin.
 
     With the target prepared in alpha this copies the control's classical
@@ -85,10 +85,10 @@ def fanout_unitary(system: SpinSystem, control: int, target: int) -> XorPermutat
         raise ValueError("fanout control and target must differ")
     shape = [1] * system.n_spins
     shape[control] = 2
-    return XorPermutation(target, np.array([False, True]).reshape(shape))
+    return BasisPermutation(target, np.array([False, True]).reshape(shape))
 
 
-def inversion_unitary(system: SpinSystem, target: int) -> XorPermutation:
+def inversion_unitary(system: SpinSystem, target: int) -> BasisPermutation:
     """Pi pulse on one spin as the alpha/beta-swapping basis permutation."""
     system.check_spin(target)
-    return XorPermutation(target, np.ones((1,) * system.n_spins, dtype=bool))
+    return BasisPermutation(target, np.ones((1,) * system.n_spins, dtype=bool))

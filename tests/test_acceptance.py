@@ -239,7 +239,7 @@ def test_criterion_7_structural_invariants():
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = DensityOperator((a @ a.conj().T) / np.trace(a @ a.conj().T).real, check=False)
         q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-        u = Operator(q * (np.diag(r) / np.abs(np.diag(r))), kind="unitary")
+        u = Operator(q * (np.diag(r) / np.abs(np.diag(r))), unitary=True)
         out = conjugate(rho, u)
         ok = ok and abs(out.trace - rho.trace) < 1e-12
         ok = ok and np.max(np.abs(out.matrix - out.matrix.conj().T)) < 1e-12

@@ -34,6 +34,29 @@ def strip_wall_times(report):
     return scrub(report)
 
 
+# spindj oracle --n 3 --oracle balanced-random --seed 5
+ORACLE_LISTING = """\
+n=3, balanced, ones=4
+reversible oracle on 16 basis states (I0 first):
+  |0000> -> |1000>
+  |0001> -> |0001>
+  |0010> -> |1010>
+  |0011> -> |1011>
+  |0100> -> |0100>
+  |0101> -> |0101>
+  |0110> -> |0110>
+  |0111> -> |1111>
+  |1000> -> |0000>
+  |1001> -> |1001>
+  |1010> -> |0010>
+  |1011> -> |0011>
+  |1100> -> |1100>
+  |1101> -> |1101>
+  |1110> -> |1110>
+  |1111> -> |0111>
+"""
+
+
 class TestRunCommand:
     def test_constant_oracle_diagonal(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--n", "3", "--oracle", "constant0")
@@ -325,6 +348,26 @@ class TestOracleCommand:
         assert code == 0
         assert "neither" in out
         assert "promise" in out
+
+    def test_capacity_is_checked_before_the_table_is_built(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "oracle", "--n", "40", "--oracle", "constant0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert out == ""
+        # the listed oracle acts on the 40 inputs and the ancilla
+        assert err.startswith("capacity error: 41 spins") and err.count("\n") == 1
+        assert peak < 1 << 20
+
+    def test_listing_is_unchanged(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "oracle", "--n", "3", "--oracle", "balanced-random", "--seed", "5"
+        )
+        assert code == 0
+        assert out == ORACLE_LISTING
 
     def test_large_tables_skip_the_listing(self, capsys):
         code, out, _ = run_cli(

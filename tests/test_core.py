@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import spindj
 from spindj.core import (
     BasisPermutation,
     CapacityError,
@@ -11,7 +14,6 @@ from spindj.core import (
     DiagonalState,
     Operator,
     SpinSystem,
-    XorPermutation,
     conjugate,
     ensure_capacity,
     expectation,
@@ -43,7 +45,38 @@ def random_unitary(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return Operator(q, kind="unitary")
+    return Operator(q, unitary=True)
+
+
+def xor_maps_up_to_five_spins():
+    """Every oracle at n <= 3 (with and without a detection spin), every
+    FANOUT control/target pair and every inversion target, N <= 5."""
+    for n in (1, 2, 3):
+        for separate in (False, True):
+            system = SpinSystem(n, has_detection_spin=separate)
+            for bits in itertools.product((0, 1), repeat=1 << n):
+                yield reversible_oracle(system, TruthTable(bits))
+    for n_spins in range(2, 6):
+        system = SpinSystem(n_spins - 1)
+        for target in range(n_spins):
+            yield inversion_unitary(system, target)
+            for control in range(n_spins):
+                if control != target:
+                    yield fanout_unitary(system, control, target)
+
+
+@st.composite
+def xor_maps(draw, max_spins):
+    """A random target spin and a random boolean mask over the other spins,
+    each mask axis of length 1 or 2, on N <= ``max_spins`` spins."""
+    n_spins = draw(st.integers(1, max_spins))
+    target = draw(st.integers(0, n_spins - 1))
+    shape = tuple(
+        1 if spin == target else draw(st.sampled_from((1, 2))) for spin in range(n_spins)
+    )
+    size = int(np.prod(shape))
+    bits = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    return BasisPermutation(target, np.array(bits, dtype=bool).reshape(shape))
 
 
 class TestSpinSystem:
@@ -229,11 +262,11 @@ class TestConjugate:
     def test_identity_leaves_state(self):
         system = SpinSystem(1)
         state = zeeman_product_state(system, "01")
-        out = conjugate(state, Operator.identity(system.dim))
+        out = conjugate(state, Operator(np.eye(system.dim), unitary=True))
         assert_allclose(out.matrix, state.matrix)
 
     def test_permutation_swaps_populations(self):
-        swap = BasisPermutation([1, 0])
+        swap = BasisPermutation(0, np.ones(1, dtype=bool))
         state = DiagonalState([1.0, 0.0])
         assert_allclose(conjugate(state, swap).populations, [0.0, 1.0])
 
@@ -260,13 +293,10 @@ class TestConjugate:
         state = DiagonalState([0.5, 0.5])
         with pytest.raises(ValueError):
             conjugate(state, random_unitary(rng, 2))
-
-    def test_diagonal_accepts_permutation_kind_operator(self):
-        state = DiagonalState([1.0, 0.0])
-        # permutation with a phase: populations must not see it
-        matrix = np.array([[0, 1], [1j, 0]], dtype=complex)
-        out = conjugate(state, Operator(matrix, kind="permutation"))
-        assert_allclose(out.populations, [0.0, 1.0])
+        # a permutation matrix is still a dense operator; XOR maps are BasisPermutations
+        for matrix in ([[0, 1], [1, 0]], [[0, 1], [1j, 0]]):
+            with pytest.raises(ValueError, match="basis permutations"):
+                conjugate(state, Operator(matrix, unitary=True))
 
     def test_non_unitary_rejected(self):
         state = zeeman_product_state(SpinSystem(1), "00")
@@ -274,35 +304,42 @@ class TestConjugate:
         with pytest.raises(ValueError):
             conjugate(state, bad)
 
+    def test_unknown_transform_type_rejected(self):
+        state = DiagonalState([1.0, 0.0])
+        with pytest.raises(TypeError):
+            conjugate(state, np.array([[0, 1], [1, 0]]))
+        with pytest.raises(TypeError):
+            conjugate(to_dense(state), np.array([[0, 1], [1, 0]]))
+
     def test_dense_and_diagonal_agree_exhaustively(self):
-        rng = np.random.default_rng(41)
-        for n_spins in (1, 2, 3):
-            dim = 1 << n_spins
-            perms = [BasisPermutation(rng.permutation(dim)) for _ in range(10)]
-            for index in range(dim):
-                populations = np.zeros(dim)
+        # every XOR map at N <= 5 on every basis state
+        for xor in xor_maps_up_to_five_spins():
+            for index in range(xor.dim):
+                populations = np.zeros(xor.dim)
                 populations[index] = 1.0
                 diag = DiagonalState(populations)
-                for perm in perms:
-                    via_diag = to_dense(conjugate(diag, perm))
-                    via_dense = conjugate(to_dense(diag), perm)
-                    assert np.max(np.abs(via_diag.matrix - via_dense.matrix)) < 1e-12
+                via_diag = to_dense(conjugate(diag, xor))
+                via_dense = conjugate(to_dense(diag), xor)
+                assert np.array_equal(via_diag.matrix, via_dense.matrix)
 
-    def test_dense_and_diagonal_agree_randomized(self):
-        rng = np.random.default_rng(43)
-        for _ in range(50):
-            n_spins = int(rng.integers(1, 11))
-            dim = 1 << n_spins
-            populations = rng.random(dim)
-            populations /= populations.sum()
-            diag = DiagonalState(populations)
-            perm = BasisPermutation(rng.permutation(dim))
-            got = conjugate(diag, perm).populations
-            if n_spins <= 8:
-                want = np.diag(conjugate(to_dense(diag), perm).matrix).real
-                assert np.max(np.abs(got - want)) < 1e-12
-            # permuting back must restore the original populations
-            assert_allclose(conjugate(DiagonalState(got), perm.inverse()).populations, populations)
+    @settings(deadline=None, max_examples=200)
+    @given(xor=xor_maps(max_spins=7), seed=st.integers(0, 2**32 - 1))
+    def test_dense_and_diagonal_agree_randomized(self, xor, seed):
+        rng = np.random.default_rng(seed)
+        populations = rng.random(xor.dim)
+        state = DiagonalState(populations / populations.sum())
+        mapping = xor.mapping
+        # involution, as an index map and as a channel
+        assert np.array_equal(mapping[mapping], np.arange(xor.dim))
+        out = conjugate(state, xor)
+        assert np.array_equal(conjugate(out, xor).populations, state.populations)
+        # trace preserved: the populations are only moved
+        assert np.array_equal(np.sort(out.populations), np.sort(state.populations))
+        assert abs(out.trace - state.trace) < 1e-12
+        if xor.control.ndim <= 6:
+            dense = conjugate(to_dense(state), xor)
+            assert np.array_equal(np.diag(dense.matrix).real, out.populations)
+            assert abs(dense.trace - state.trace) < 1e-12
 
 
 class TestBackendConversion:
@@ -338,54 +375,21 @@ class TestEntropy:
 class TestOperatorKinds:
     def test_unitary_check(self):
         with pytest.raises(ValueError):
-            Operator(np.diag([1.0, 2.0]).astype(complex), kind="unitary")
+            Operator(np.diag([1.0, 2.0]).astype(complex), unitary=True)
 
     def test_permutation_check(self):
         good = np.array([[0, 1], [1, 0]], dtype=complex)
         assert is_permutation_matrix(good)
-        assert Operator(good, kind="permutation").kind == "permutation"
+        assert Operator(good, unitary=True).unitary
         bad = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         assert not is_permutation_matrix(bad)
         with pytest.raises(ValueError):
-            Operator(bad, kind="permutation")
+            Operator(bad, unitary=True)
+        assert not Operator(bad).unitary
 
     def test_unitary_predicate(self):
         rng = np.random.default_rng(2)
         assert is_unitary_matrix(random_unitary(rng, 8).matrix)
-
-    def test_basis_permutation_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            BasisPermutation([0, 0, 1, 2])
-
-    def test_basis_permutation_round_trips_through_matrix(self):
-        rng = np.random.default_rng(9)
-        perm = BasisPermutation(rng.permutation(8))
-        back = BasisPermutation.from_operator(perm.to_operator())
-        assert back == perm
-
-    def test_composition_matches_matrix_product(self):
-        rng = np.random.default_rng(10)
-        a = BasisPermutation(rng.permutation(8))
-        b = BasisPermutation(rng.permutation(8))
-        composed = (a @ b).to_operator().matrix
-        assert_allclose(composed, a.to_operator().matrix @ b.to_operator().matrix)
-
-
-def xor_maps_up_to_five_spins():
-    """Every oracle at n <= 3 (with and without a detection spin), every
-    FANOUT control/target pair and every inversion target, N <= 5."""
-    for n in (1, 2, 3):
-        for separate in (False, True):
-            system = SpinSystem(n, has_detection_spin=separate)
-            for bits in itertools.product((0, 1), repeat=1 << n):
-                yield reversible_oracle(system, TruthTable(bits))
-    for n_spins in range(2, 6):
-        system = SpinSystem(n_spins - 1)
-        for target in range(n_spins):
-            yield inversion_unitary(system, target)
-            for control in range(n_spins):
-                if control != target:
-                    yield fanout_unitary(system, control, target)
 
 
 class TestXorPermutation:
@@ -393,15 +397,19 @@ class TestXorPermutation:
         rng = np.random.default_rng(71)
         count = 0
         for xor in xor_maps_up_to_five_spins():
-            generic = BasisPermutation(xor.mapping)
-            assert xor.inverse() is xor and xor == generic
-            assert xor.is_identity() == generic.is_identity()
+            mapping = xor.mapping
+            n_spins = xor.control.ndim
+            # diagonal: |i> -> |mapping[i]> carries population p[i] to mapping[i]
             populations = rng.random(xor.dim)
             state = DiagonalState(populations / populations.sum())
-            got = conjugate(state, xor).populations
-            assert np.array_equal(got, conjugate(state, generic).populations)
-            dense = conjugate(to_dense(state), xor).matrix
-            assert np.array_equal(dense, conjugate(to_dense(state), generic).matrix)
+            got = conjugate(state, xor)
+            assert np.array_equal(got.populations[mapping], state.populations)
+            assert np.array_equal(conjugate(got, xor).populations, state.populations)
+            # dense, with coherences: the gather equals U rho U^dagger
+            rho = random_density(rng, n_spins)
+            dense = conjugate(rho, xor)
+            assert np.array_equal(dense.matrix, conjugate(rho, xor.to_operator()).matrix)
+            assert np.array_equal(conjugate(dense, xor).matrix, rho.matrix)
             count += 1
         assert count == 2 * (4 + 16 + 256) + sum(n * n for n in range(2, 6))
 
@@ -423,17 +431,17 @@ class TestXorPermutation:
 
     def test_rejects_non_boolean_control(self):
         with pytest.raises(ValueError, match="boolean"):
-            XorPermutation(0, np.ones((1, 2), dtype=np.uint8))
+            BasisPermutation(0, np.ones((1, 2), dtype=np.uint8))
 
     def test_rejects_control_that_reads_the_target(self):
         with pytest.raises(ValueError, match="target"):
-            XorPermutation(0, np.array([[True, False], [False, True]]))
+            BasisPermutation(0, np.array([[True, False], [False, True]]))
 
     def test_rejects_axes_that_are_not_spins(self):
         with pytest.raises(ValueError):
-            XorPermutation(0, np.ones((1, 3), dtype=bool))
+            BasisPermutation(0, np.ones((1, 3), dtype=bool))
         with pytest.raises(ValueError):
-            XorPermutation(2, np.ones((1, 2), dtype=bool))
+            BasisPermutation(2, np.ones((1, 2), dtype=bool))
 
 
 class TestStateValidation:
@@ -453,3 +461,8 @@ class TestStateValidation:
         assert abs(rho.trace - 1.0) < 1e-15
         with pytest.raises(TypeError):
             (1.0 + 1.0j) * zeeman_product_state(system, "00")
+
+
+def test_every_public_name_resolves():
+    for name in spindj.__all__:
+        assert getattr(spindj, name) is not None, name

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import spindj.protocol as protocol
-from spindj.core import CapacityError, SpinSystem, von_neumann_entropy
+from spindj.core import (
+    CapacityError,
+    DensityOperator,
+    DiagonalState,
+    SpinSystem,
+    expectation,
+    pauli_z,
+    von_neumann_entropy,
+)
 from spindj.oracle import (
     TruthTable,
     oracle_channel,
@@ -146,6 +154,28 @@ class TestLiouvilleRun:
         assert signal == (len(table) - 2 * table.ones) / len(table)
         if n <= 6:
             assert abs(run_liouville_dj(system, table, "dense").signal - signal) < 1e-12
+
+    def test_readout_equals_the_pauli_z_expectation(self):
+        # 2Iz is diagonal, so reading the populations is Tr(rho * 2Iz) even
+        # for states with coherences; the dense observable stays the reference.
+        rng = np.random.default_rng(73)
+        systems = [
+            SpinSystem(n, has_detection_spin=separate)
+            for n in range(1, 5)
+            for separate in (False, True)
+            if n + 1 + separate <= 5
+        ]
+        for system in systems:
+            for _ in range(10):
+                a = rng.normal(size=(system.dim,) * 2) + 1j * rng.normal(size=(system.dim,) * 2)
+                rho = DensityOperator(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+                populations = DiagonalState(np.diag(rho.matrix).real)
+                for spin in range(system.n_spins):
+                    observable = pauli_z(system, spin)
+                    want = expectation(rho, observable)
+                    assert abs(protocol._longitudinal_signal(rho, spin) - want) < 1e-12
+                    got = protocol._longitudinal_signal(populations, spin)
+                    assert abs(got - expectation(populations, observable)) < 1e-12
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError):

@@ -76,7 +76,7 @@ class TestRotationUnitary:
             u_ab = rotation_unitary(system, PulseSpec(axis, a + b, targets))
             u_a = rotation_unitary(system, PulseSpec(axis, a, targets))
             u_b = rotation_unitary(system, PulseSpec(axis, b, targets))
-            assert np.max(np.abs((u_a @ u_b).matrix - u_ab.matrix)) < 1e-12
+            assert np.max(np.abs(u_a.matrix @ u_b.matrix - u_ab.matrix)) < 1e-12
 
     def test_generated_operators_are_unitary(self):
         rng = np.random.default_rng(19)
@@ -88,7 +88,7 @@ class TestRotationUnitary:
                 targets=(int(rng.integers(system.n_spins)),),
             )
             u = rotation_unitary(system, spec)
-            assert u.kind == "unitary"
+            assert u.unitary
             assert is_unitary_matrix(u.matrix)
 
     def test_rejects_invalid_target(self):
@@ -134,13 +134,12 @@ class TestFanout:
 
     def test_involution(self):
         system = SpinSystem(2, has_detection_spin=True)
-        copy = fanout_unitary(system, 0, 3)
-        assert (copy @ copy).is_identity()
+        mapping = fanout_unitary(system, 0, 3).mapping
+        assert np.array_equal(mapping[mapping], np.arange(system.dim))
 
     def test_is_permutation_matrix(self):
         system = SpinSystem(1, has_detection_spin=True)
         op = fanout_unitary(system, 0, 2).to_operator()
-        assert op.kind == "permutation"
         assert is_permutation_matrix(op.matrix)
 
     def test_rejects_equal_control_and_target(self):
@@ -157,8 +156,8 @@ class TestInversion:
 
     def test_squares_to_identity(self):
         system = SpinSystem(2)
-        flip = inversion_unitary(system, 0)
-        assert (flip @ flip).is_identity()
+        mapping = inversion_unitary(system, 0).mapping
+        assert np.array_equal(mapping[mapping], np.arange(system.dim))
 
     def test_preserves_other_spins_marginals(self):
         rng = np.random.default_rng(53)
