@@ -185,6 +185,8 @@ def _resolve_table(
 ) -> TruthTable:
     """Build or load the table; ``ensure_fits(arity)`` runs before a
     generated table is allocated and right after a file is loaded."""
+    if n is not None and n < 1:
+        raise UsageError(f"--n must be at least 1, got {n}")
     if source in _GENERATED_SOURCES:
         if n is None:
             raise UsageError(f"--n is required with --oracle {source}")

@@ -154,9 +154,6 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.matrix).copy()
-
     def __repr__(self) -> str:
         return f"Operator(dim={self.dim}, unitary={self.unitary})"
 
@@ -345,7 +342,7 @@ def expectation(state: DensityOperator | DiagonalState, observable: Operator) ->
             f"dimension mismatch: state {state.dim}, observable {observable.dim}"
         )
     if isinstance(state, DiagonalState):
-        value = complex(state.populations @ observable.diagonal())
+        value = complex(state.populations @ observable.matrix.diagonal())
     else:
         value = complex(np.einsum("ij,ji->", state.matrix, observable.matrix))
     if abs(value.imag) > 1e-10:

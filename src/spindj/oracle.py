@@ -168,4 +168,8 @@ def parse_truth_table(text: str) -> TruthTable:
 
 
 def load_truth_table(path: str | Path) -> TruthTable:
-    return parse_truth_table(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TruthTableError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+    return parse_truth_table(text)

@@ -31,8 +31,6 @@ from .core import (
     conjugate,
     embed,
     ensure_capacity,
-    expectation,
-    polarization_operator,
     to_dense,
     zeeman_product_state,
 )
@@ -225,12 +223,14 @@ def run_pseudo_pure_dj(
 
     NOT then Hadamard put the ancilla in the phase-kickback state, a
     Hadamard fans the inputs out over all arguments, the oracle runs
-    once, and a final input Hadamard interferes the branches. The signal
-    is the population of the all-alpha input block minus the identity
-    component's contribution, so it scales linearly with epsilon: eps for
-    a constant function, 0 for a balanced one. The circuit cannot tell
-    constant-0 from constant-1 (the ancilla phase is global), so any
-    constant function is reported as CONSTANT0.
+    once, and a final input Hadamard interferes the branches. The
+    pseudo-pure state is (1 - eps) * identity/2^N + eps * |0...0><0...0|,
+    and any unitary leaves the identity component unchanged, so only the
+    pure part is evolved. The signal is eps times that part's population
+    of the all-alpha input block: eps for a constant function, 0 for a
+    balanced one, and no background is subtracted. The circuit cannot
+    tell constant-0 from constant-1 (the ancilla phase is global), so
+    any constant function is reported as CONSTANT0.
     """
     ensure_capacity(system.n_spins, "dense", max_spins)
     if table.n != system.n_inputs:
@@ -238,7 +238,7 @@ def run_pseudo_pure_dj(
             f"table arity {table.n} does not match {system.n_inputs} input spins"
         )
     epsilon = config.resolve_epsilon(system.n_spins)
-    state = pseudo_pure_matrix(system.n_spins, epsilon)
+    state = zeeman_product_state(system, "0" * system.n_spins)
 
     hadamards = {spin: _HADAMARD for spin in system.inputs}
     state = conjugate(state, _basis_change(system, {system.ancilla: _NOT}))
@@ -252,16 +252,11 @@ def run_pseudo_pure_dj(
 
     state = conjugate(state, _basis_change(system, hadamards))
 
-    # Projector onto all inputs back in alpha (ancilla and detection free).
-    projector = np.eye(system.dim, dtype=complex)
-    for spin in system.inputs:
-        projector = projector @ polarization_operator(system, spin, "alpha").matrix
-    raw = expectation(state, Operator(projector, check=False))
-
-    # The identity component rides through the circuit unchanged; subtract
-    # its share of the projector so the signal is proportional to epsilon.
-    background = (1.0 - epsilon) * np.trace(projector).real / system.dim
-    signal = raw - background
+    # Axes: I0, the inputs as one axis, the detection spin (length 1 if absent);
+    # the block sums over the ancilla and the detection spin.
+    populations = state.matrix.diagonal().real
+    block = populations.reshape(2, 1 << system.n_inputs, -1)[:, 0].sum()
+    signal = epsilon * float(block)
     return Outcome(signal, classify_signal(signal, tolerance), evaluations, "dense")
 
 

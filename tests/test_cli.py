@@ -119,6 +119,18 @@ class TestRunCommand:
         code, _, _ = run_cli(capsys, "run", "--oracle", str(path))
         assert code == 3
 
+    def test_table_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bin.txt"
+        path.write_bytes(b"\xff\xfe01\n")
+        code, out, err = run_cli(capsys, "run", "--oracle", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("truth table error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_n_must_be_positive(self, capsys, value):
+        assert_usage_error(capsys, "--n", "run", "--n", value, "--oracle", "constant0")
+
     def test_capacity_exceeded(self, capsys):
         code, _, _ = run_cli(
             capsys, "run", "--n", "14", "--oracle", "constant0", "--backend", "dense"
@@ -361,6 +373,18 @@ class TestOracleCommand:
         # the listed oracle acts on the 40 inputs and the ancilla
         assert err.startswith("capacity error: 41 spins") and err.count("\n") == 1
         assert peak < 1 << 20
+
+    def test_table_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bin.txt"
+        path.write_bytes(b"\xff\xfe01\n")
+        code, out, err = run_cli(capsys, "oracle", "--oracle", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("truth table error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_n_must_be_positive(self, capsys, value):
+        assert_usage_error(capsys, "--n", "oracle", "--n", value, "--oracle", "constant0")
 
     def test_listing_is_unchanged(self, capsys):
         code, out, _ = run_cli(

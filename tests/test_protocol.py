@@ -11,9 +11,13 @@ from spindj.core import (
     CapacityError,
     DensityOperator,
     DiagonalState,
+    Operator,
     SpinSystem,
+    conjugate,
+    embed,
     expectation,
     pauli_z,
+    polarization_operator,
     von_neumann_entropy,
 )
 from spindj.oracle import (
@@ -22,6 +26,7 @@ from spindj.oracle import (
     random_balanced,
     random_constant,
     random_table,
+    reversible_oracle,
 )
 from spindj.protocol import (
     Outcome,
@@ -254,6 +259,70 @@ class TestPseudoPure:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             run_pseudo_pure_dj(SpinSystem(2), TruthTable.constant(3, 0), PseudoPureConfig(epsilon=1.0))
+
+    @settings(deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        seed=st.integers(0, 2**64 - 1),
+        make=st.sampled_from([random_table, random_balanced, random_constant]),
+        separate=st.booleans(),
+        config=st.one_of(
+            st.builds(PseudoPureConfig, epsilon=st.floats(1e-300, 1.0)),
+            st.builds(PseudoPureConfig, thermal_p=st.floats(1e-300, 1.0)),
+        ),
+    )
+    def test_signal_is_epsilon_times_the_squared_liouville_signal(
+        self, n, seed, make, separate, config
+    ):
+        system = SpinSystem(n, has_detection_spin=separate)
+        table = make(n, seed)
+        s = run_liouville_dj(system, table).signal
+        epsilon = config.resolve_epsilon(system.n_spins)
+        want = epsilon * s**2
+        got = run_pseudo_pure_dj(system, table, config).signal
+        # Relative to eps * s^2, or to eps itself where s = 0 (balanced).
+        assert abs(got - want) <= 1e-12 * (want or epsilon)
+
+    def test_tiny_epsilon_keeps_a_positive_signal(self):
+        config = PseudoPureConfig(epsilon=1e-300)
+        out = run_pseudo_pure_dj(SpinSystem(2), TruthTable.constant(2, 0), config)
+        assert out.signal > 0
+        assert abs(out.signal - 1e-300) <= 1e-12 * 1e-300
+
+    @pytest.mark.parametrize("separate", [False, True])
+    def test_matches_the_whole_pseudo_pure_matrix_minus_its_background(self, separate):
+        # Reference: the full pseudo-pure matrix through the same circuit, read
+        # with the projector onto the all-alpha input block (ancilla and
+        # detection spin free), minus the identity's share (1 - eps) * 2^-n.
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
+        flip = np.array([[0, 1], [1, 0]])
+        rng = np.random.default_rng(79)
+        for n in range(1, 6 - separate):
+            system = SpinSystem(n, has_detection_spin=separate)
+
+            def gate(blocks):
+                return Operator(embed(system, blocks), unitary=True)
+
+            inputs = {spin: hadamard for spin in system.inputs}
+            projector = np.eye(system.dim)
+            for spin in system.inputs:
+                projector = projector @ polarization_operator(system, spin, "alpha").matrix
+            for make in (random_table, random_balanced, random_constant):
+                table = make(n, int(rng.integers(2**32)))
+                for config in (
+                    PseudoPureConfig(epsilon=float(rng.uniform(0.01, 1.0))),
+                    PseudoPureConfig(thermal_p=1e-5),
+                ):
+                    epsilon = config.resolve_epsilon(system.n_spins)
+                    state = pseudo_pure_matrix(system.n_spins, epsilon)
+                    state = conjugate(state, gate({system.ancilla: flip}))
+                    state = conjugate(state, gate({system.ancilla: hadamard, **inputs}))
+                    state = oracle_channel(state, reversible_oracle(system, table))
+                    state = conjugate(state, gate(inputs))
+                    raw = expectation(state, Operator(projector))
+                    reference = raw - (1.0 - epsilon) / (1 << n)
+                    signal = run_pseudo_pure_dj(system, table, config).signal
+                    assert abs(signal - reference) < 1e-12
 
 
 class TestThermalEpsilon:
