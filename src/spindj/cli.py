@@ -120,7 +120,8 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
         "--tolerance",
         type=float,
         default=DEFAULT_SIGNAL_TOL,
-        help="signal classification threshold",
+        help="detection-noise floor sigma: a Liouville signal within +-sigma reads "
+        "balanced; the pseudo-pure verdict is undecided when eps <= 2*sigma",
     )
     sub.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
     sub.add_argument("--out", help="write the report to this path instead of stdout")

@@ -59,9 +59,20 @@ class TruthTable:
 
     @classmethod
     def from_string(cls, text: str) -> "TruthTable":
-        if any(c not in "01" for c in text):
-            raise TruthTableError(f"truth table characters must be 0/1, got {text!r}")
-        return cls([int(c) for c in text])
+        """Parse a line of 0/1 characters, one byte per entry while parsing."""
+        try:
+            # The encoded bytes are a temporary, freed once the digits are read.
+            bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - np.uint8(ord("0"))
+        except UnicodeEncodeError as exc:
+            bad = exc.start
+        else:
+            wrong = np.flatnonzero(bits > 1)
+            if not wrong.size:
+                return cls(bits)
+            bad = int(wrong[0])
+        raise TruthTableError(
+            f"truth table characters must be 0/1, got {text[bad]!r} at position {bad}"
+        )
 
     @classmethod
     def constant(cls, n: int, value: int) -> "TruthTable":

@@ -50,6 +50,7 @@ class Verdict(enum.Enum):
     CONSTANT1 = "constant1"
     BALANCED = "balanced"
     PROMISE_VIOLATED = "promise_violated"
+    UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
@@ -231,12 +232,18 @@ def run_pseudo_pure_dj(
     balanced one, and no background is subtracted. The circuit cannot
     tell constant-0 from constant-1 (the ancilla phase is global), so
     any constant function is reported as CONSTANT0.
+
+    ``tolerance`` is the detection-noise floor sigma. A signal of at most
+    2 sigma cannot be told from noise, so when eps <= 2 sigma the verdict
+    is UNDECIDED; otherwise it is CONSTANT0 above eps/2 and BALANCED below.
     """
     ensure_capacity(system.n_spins, "dense", max_spins)
     if table.n != system.n_inputs:
         raise ValueError(
             f"table arity {table.n} does not match {system.n_inputs} input spins"
         )
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
     epsilon = config.resolve_epsilon(system.n_spins)
     state = zeeman_product_state(system, "0" * system.n_spins)
 
@@ -257,7 +264,13 @@ def run_pseudo_pure_dj(
     populations = state.matrix.diagonal().real
     block = populations.reshape(2, 1 << system.n_inputs, -1)[:, 0].sum()
     signal = epsilon * float(block)
-    return Outcome(signal, classify_signal(signal, tolerance), evaluations, "dense")
+    if epsilon <= 2.0 * tolerance:
+        verdict = Verdict.UNDECIDED
+    elif signal > epsilon / 2.0:
+        verdict = Verdict.CONSTANT0
+    else:
+        verdict = Verdict.BALANCED
+    return Outcome(signal, verdict, evaluations, "dense")
 
 
 def classical_dj(table: TruthTable, order: Sequence[int] | None = None) -> Outcome:

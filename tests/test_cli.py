@@ -80,6 +80,25 @@ class TestRunCommand:
         assert {r["backend"] for r in report["records"]} == {"dense", "diagonal"}
         assert report["cross_check"] < 1e-12
 
+    def test_pseudo_pure_verdict_is_undecided_below_the_noise_floor(self, capsys):
+        # eps(9 spins) = 9e-5/512 ~ 1.8e-7 <= 2 sigma with the default sigma = 1e-6
+        code, out, _ = run_cli(
+            capsys, "run", "--n", "8", "--oracle", "constant0", "--thermal-p", "1e-5"
+        )
+        assert code == 0
+        records = json.loads(out)["records"]
+        assert [r["verdict"] for r in records] == ["constant0", "undecided"]
+
+    @pytest.mark.parametrize(
+        "oracle, verdict", [("constant0", "constant0"), ("balanced-random", "balanced")]
+    )
+    def test_pseudo_pure_verdict_decides_above_the_noise_floor(self, capsys, oracle, verdict):
+        code, out, _ = run_cli(
+            capsys, "run", "--n", "8", "--oracle", oracle, "--seed", "3", "--epsilon", "0.25"
+        )
+        assert code == 0
+        assert [r["verdict"] for r in json.loads(out)["records"]] == [verdict, verdict]
+
     def test_pseudo_pure_record_when_epsilon_given(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--n", "2", "--oracle", "constant0", "--epsilon", "0.25"
@@ -127,6 +146,14 @@ class TestRunCommand:
         assert out == ""
         assert err.startswith("truth table error: ") and err.count("\n") == 1
 
+    def test_bad_character_is_named_with_its_position(self, capsys, tmp_path):
+        path = tmp_path / "long.tt"
+        path.write_text("01" * 4096 + "x" + "0" * 8191 + "\n")
+        code, out, err = run_cli(capsys, "run", "--oracle", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "truth table error: truth table characters must be 0/1, got 'x' at position 8192\n"
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_n_must_be_positive(self, capsys, value):
         assert_usage_error(capsys, "--n", "run", "--n", value, "--oracle", "constant0")
@@ -163,6 +190,20 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", "--oracle", str(path), "--backend", "dense")
         assert code == 4
         assert "dense" in err
+
+    def test_large_table_file_is_parsed_in_bounded_memory(self, capsys, tmp_path):
+        path = tmp_path / "huge.tt"
+        path.write_text("01" * (1 << 21) + "\n")  # n = 22, 4 MiB of text
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "run", "--oracle", str(path), "--backend", "dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert out == ""
+        assert err.startswith("capacity error: ") and err.count("\n") == 1
+        assert peak < 20 << 20
 
     def test_max_spins_override_warns(self, capsys):
         code, out, err = run_cli(

@@ -29,7 +29,7 @@ from spindj.core import (
     zeeman_product_state,
 )
 from spindj.oracle import TruthTable, reversible_oracle
-from spindj.pulses import fanout_unitary, inversion_unitary
+from spindj.pulses import PulseSpec, fanout_unitary, inversion_unitary, rotation_unitary
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -340,6 +340,52 @@ class TestConjugate:
             dense = conjugate(to_dense(state), xor)
             assert np.array_equal(np.diag(dense.matrix).real, out.populations)
             assert abs(dense.trace - state.trace) < 1e-12
+
+
+def complex_conjugation(u: Operator, rho: DensityOperator) -> np.ndarray:
+    """The complex formula U rho U^dagger, independent of :func:`conjugate`."""
+    return u.matrix @ rho.matrix @ u.matrix.conj().T
+
+
+class TestRealConjugation:
+    @settings(deadline=None, max_examples=100)
+    @given(n_spins=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_real_gate_on_real_state_matches_complex_formula(self, n_spins, seed):
+        rng = np.random.default_rng(seed)
+        dim = 1 << n_spins
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        u = Operator(q, unitary=True)
+        a = rng.normal(size=(dim, dim))
+        rho = DensityOperator(a + a.T)
+        before = rho.matrix.copy()
+        out = conjugate(rho, u)
+        assert out.matrix.dtype == np.complex128
+        assert not out.matrix.imag.any()
+        assert np.max(np.abs(out.matrix - complex_conjugation(u, rho))) <= 1e-12
+        assert np.array_equal(rho.matrix, before)
+
+    def test_complex_gate_on_real_state_matches_complex_formula(self):
+        for n_inputs in (1, 2, 3):
+            system = SpinSystem(n_inputs)
+            rho = zeeman_product_state(system, "0" * system.n_spins)
+            pulse = rotation_unitary(
+                system, PulseSpec(axis="x", angle=np.pi / 2.0, targets=system.inputs)
+            )
+            assert pulse.matrix.imag.any()
+            out = conjugate(rho, pulse)
+            assert out.matrix.imag.any()
+            assert np.max(np.abs(out.matrix - complex_conjugation(pulse, rho))) <= 1e-12
+
+    def test_real_gate_on_state_with_imaginary_coherences(self):
+        rng = np.random.default_rng(41)
+        for n_spins in (1, 2, 3, 4):
+            rho = random_density(rng, n_spins)
+            assert rho.matrix.imag.any()
+            q, _ = np.linalg.qr(rng.normal(size=(rho.dim, rho.dim)))
+            u = Operator(q, unitary=True)
+            out = conjugate(rho, u)
+            assert out.matrix.imag.any()
+            assert np.max(np.abs(out.matrix - complex_conjugation(u, rho))) <= 1e-12
 
 
 class TestBackendConversion:

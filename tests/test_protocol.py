@@ -291,22 +291,9 @@ class TestPseudoPure:
 
     @pytest.mark.parametrize("separate", [False, True])
     def test_matches_the_whole_pseudo_pure_matrix_minus_its_background(self, separate):
-        # Reference: the full pseudo-pure matrix through the same circuit, read
-        # with the projector onto the all-alpha input block (ancilla and
-        # detection spin free), minus the identity's share (1 - eps) * 2^-n.
-        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
-        flip = np.array([[0, 1], [1, 0]])
         rng = np.random.default_rng(79)
         for n in range(1, 6 - separate):
             system = SpinSystem(n, has_detection_spin=separate)
-
-            def gate(blocks):
-                return Operator(embed(system, blocks), unitary=True)
-
-            inputs = {spin: hadamard for spin in system.inputs}
-            projector = np.eye(system.dim)
-            for spin in system.inputs:
-                projector = projector @ polarization_operator(system, spin, "alpha").matrix
             for make in (random_table, random_balanced, random_constant):
                 table = make(n, int(rng.integers(2**32)))
                 for config in (
@@ -314,15 +301,95 @@ class TestPseudoPure:
                     PseudoPureConfig(thermal_p=1e-5),
                 ):
                     epsilon = config.resolve_epsilon(system.n_spins)
-                    state = pseudo_pure_matrix(system.n_spins, epsilon)
-                    state = conjugate(state, gate({system.ancilla: flip}))
-                    state = conjugate(state, gate({system.ancilla: hadamard, **inputs}))
-                    state = oracle_channel(state, reversible_oracle(system, table))
-                    state = conjugate(state, gate(inputs))
-                    raw = expectation(state, Operator(projector))
-                    reference = raw - (1.0 - epsilon) / (1 << n)
+                    reference = projector_readout(system, table, epsilon, conjugate)
                     signal = run_pseudo_pure_dj(system, table, config).signal
                     assert abs(signal - reference) < 1e-12
+
+    @pytest.mark.parametrize("separate", [False, True])
+    @pytest.mark.parametrize(
+        "source", ["constant0", "constant1", "balanced-random", "random"]
+    )
+    def test_matches_the_complex_projector_readout(self, source, separate):
+        # The same reference evolved with the complex formula U rho U^dagger
+        # throughout, so the real kernel of conjugate() is not on its path.
+        def complex_conjugate(state, gate):
+            if isinstance(gate, Operator):
+                u = gate.matrix
+                return DensityOperator(u @ state.matrix @ u.conj().T, check=False)
+            return conjugate(state, gate)
+
+        make = {
+            "constant0": lambda n, seed: TruthTable.constant(n, 0),
+            "constant1": lambda n, seed: TruthTable.constant(n, 1),
+            "balanced-random": random_balanced,
+            "random": random_table,
+        }[source]
+        for n in range(1, 6 - separate):
+            system = SpinSystem(n, has_detection_spin=separate)
+            table = make(n, 97 + n)
+            for config in (PseudoPureConfig(epsilon=0.3), PseudoPureConfig(thermal_p=1e-5)):
+                epsilon = config.resolve_epsilon(system.n_spins)
+                reference = projector_readout(system, table, epsilon, complex_conjugate)
+                assert abs(run_pseudo_pure_dj(system, table, config).signal - reference) < 1e-12
+
+    def test_verdict_is_undecided_at_or_below_twice_the_noise_floor(self):
+        system = SpinSystem(2)
+        constant, balanced = TruthTable.constant(2, 1), TruthTable.from_string("0110")
+        for table in (constant, balanced):
+            # eps = 1e-3 against sigma = 5e-4 (eps = 2 sigma) and 1e-3
+            for sigma in (5e-4, 1e-3):
+                out = run_pseudo_pure_dj(
+                    system, table, PseudoPureConfig(epsilon=1e-3), tolerance=sigma
+                )
+                assert out.verdict is Verdict.UNDECIDED
+        decided = PseudoPureConfig(epsilon=1e-3)
+        assert run_pseudo_pure_dj(system, constant, decided, tolerance=4e-4).verdict is (
+            Verdict.CONSTANT0
+        )
+        assert run_pseudo_pure_dj(system, balanced, decided, tolerance=4e-4).verdict is (
+            Verdict.BALANCED
+        )
+
+    def test_verdict_splits_at_half_epsilon(self):
+        # One 1 in four entries: s = 1/2, so the signal eps * s^2 = eps/4 lies
+        # below the eps/2 split.
+        system = SpinSystem(2)
+        out = run_pseudo_pure_dj(
+            system, TruthTable.from_string("0001"), PseudoPureConfig(epsilon=1.0)
+        )
+        assert abs(out.signal - 0.25) < 1e-12
+        assert out.verdict is Verdict.BALANCED
+
+    def test_rejects_nonpositive_noise_floor(self):
+        with pytest.raises(ValueError):
+            run_pseudo_pure_dj(
+                SpinSystem(1), TruthTable.constant(1, 0), PseudoPureConfig(epsilon=1.0),
+                tolerance=0.0,
+            )
+
+
+def projector_readout(system, table, epsilon, apply):
+    """The whole pseudo-pure matrix through the circuit, read with the
+    projector onto the all-alpha input block (ancilla and detection spin
+    free), minus the identity's share (1 - eps) * 2^-n. ``apply(state,
+    gate)`` conjugates a state by one gate."""
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
+    flip = np.array([[0, 1], [1, 0]])
+
+    def gate(blocks):
+        return Operator(embed(system, blocks), unitary=True)
+
+    inputs = {spin: hadamard for spin in system.inputs}
+    projector = np.eye(system.dim)
+    for spin in system.inputs:
+        projector = projector @ polarization_operator(system, spin, "alpha").matrix
+    state = pseudo_pure_matrix(system.n_spins, epsilon)
+    state = apply(state, gate({system.ancilla: flip}))
+    state = apply(state, gate({system.ancilla: hadamard, **inputs}))
+    state = apply(state, reversible_oracle(system, table))
+    state = apply(state, gate(inputs))
+    raw = expectation(state, Operator(projector))
+    return raw - (1.0 - epsilon) / (1 << table.n)
 
 
 class TestThermalEpsilon:
