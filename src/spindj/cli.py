@@ -1,7 +1,7 @@
 """Command-line front end: single runs, scaling sweeps, oracle inspection.
 
 Exit codes: 0 success, 1 usage error, 2 file error, 3 malformed truth
-table, 4 backend capacity exceeded. Reports are emitted as a single JSON
+table, 4 backend capacity exceeded or memory exhausted. Reports are emitted as a single JSON
 document (schema version "v1") or as CSV; wall-time fields are the only
 non-deterministic content for a fixed config and seed.
 """
@@ -26,9 +26,9 @@ from .oracle import (
     TruthTable,
     TruthTableError,
     classify,
-    load_truth_table,
     random_balanced,
     random_table,
+    read_data_line,
     reversible_oracle,
 )
 from .protocol import (
@@ -104,30 +104,54 @@ class ExperimentConfig:
         return fields
 
 
+def _checked(convert: Callable, ok: Callable, rule: str) -> Callable:
+    """An argparse ``type=`` that converts the text and accepts what ``ok`` admits."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+
+    return parse
+
+
+def _n_range(text: str) -> tuple[int, int]:
+    lo, dots, hi = text.partition("..")
+    return int(lo), int(hi if dots else lo)
+
+
+_AT_LEAST_1 = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_SEED = _checked(int, lambda v: 0 <= v < 2**64, "an unsigned 64-bit integer")
+_UNIT = _checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+
+
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, help="RNG seed (u64) for randomized oracles")
     sub.add_argument(
         "--detection",
         choices=("ancilla", "separate"),
-        default="ancilla",
         help="read out on the ancilla itself or on a separate detection spin",
     )
-    sub.add_argument("--epsilon", type=float, help="fixed pseudo-pure prefactor in (0,1]")
-    sub.add_argument(
-        "--thermal-p", type=float, help="per-spin polarization for epsilon(N)=N*p/2^N"
+    pseudo_pure = sub.add_mutually_exclusive_group()
+    pseudo_pure.add_argument("--epsilon", type=_UNIT, help="fixed pseudo-pure prefactor in (0,1]")
+    pseudo_pure.add_argument(
+        "--thermal-p", type=_UNIT, help="per-spin polarization for epsilon(N)=N*p/2^N"
     )
     sub.add_argument(
         "--tolerance",
-        type=float,
-        default=DEFAULT_SIGNAL_TOL,
+        type=_checked(float, lambda v: math.isfinite(v) and v > 0, "a positive finite number"),
         help="detection-noise floor sigma: a Liouville signal within +-sigma reads "
         "balanced; the pseudo-pure verdict is undecided when eps <= 2*sigma",
     )
-    sub.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
+    sub.add_argument("--format", choices=("json", "csv"), dest="fmt")
     sub.add_argument("--out", help="write the report to this path instead of stdout")
     sub.add_argument(
         "--max-spins",
-        type=int,
+        type=_AT_LEAST_1,
         help="raise the backend capacity limit (may exhaust memory)",
     )
 
@@ -135,47 +159,46 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spindj", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
+    # Flags left out stay out of the namespace, so ExperimentConfig's
+    # defaults apply; subparsers do not inherit argument_default.
+    suppress = argparse.SUPPRESS
 
-    run = commands.add_parser("run", help="run one experiment")
-    run.add_argument("--n", type=int, help="number of input spins")
+    run = commands.add_parser("run", help="run one experiment", argument_default=suppress)
+    run.add_argument("--n", type=_AT_LEAST_1, help="number of input spins")
     run.add_argument(
         "--oracle",
         required=True,
+        dest="oracle_source",
         help="constant0 | constant1 | balanced-random | random | file:PATH | PATH",
     )
-    run.add_argument(
-        "--backend", choices=("dense", "diagonal", "both"), default="diagonal"
-    )
+    run.add_argument("--seed", type=_SEED, help="RNG seed (u64) for randomized oracles")
+    run.add_argument("--backend", choices=("dense", "diagonal", "both"))
     _add_common_flags(run)
 
-    sweep = commands.add_parser("sweep", help="scaling table over a range of n")
-    sweep.add_argument("--n", required=True, help="range of input counts, e.g. 1..8")
-    sweep.add_argument("--backend", choices=("dense", "diagonal"), default="diagonal")
+    sweep = commands.add_parser(
+        "sweep", help="scaling table over a range of n", argument_default=suppress
+    )
     sweep.add_argument(
-        "--trials", type=int, default=20, help="random balanced tables per n"
+        "--n",
+        required=True,
+        type=_checked(_n_range, lambda r: 1 <= r[0] <= r[1], "N or A..B with 1 <= A <= B"),
+        help="range of input counts, e.g. 1..8",
+    )
+    sweep.add_argument("--seed", required=True, type=_SEED, help="RNG seed (u64)")
+    sweep.add_argument("--backend", choices=("dense", "diagonal"))
+    sweep.add_argument(
+        "--trials",
+        type=_checked(int, lambda v: v >= 0, "an integer >= 0"),
+        help="random balanced tables per n",
     )
     _add_common_flags(sweep)
 
     oracle = commands.add_parser("oracle", help="inspect a truth table")
     oracle.add_argument("--oracle", required=True, help="table source as for run")
-    oracle.add_argument("--n", type=int, help="arity for generated tables")
-    oracle.add_argument("--seed", type=int, help="RNG seed for randomized oracles")
+    oracle.add_argument("--n", type=_AT_LEAST_1, help="arity for generated tables")
+    oracle.add_argument("--seed", type=_SEED, help="RNG seed for randomized oracles")
 
     return parser
-
-
-def _parse_n_range(text: str) -> tuple[int, int]:
-    try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
-        else:
-            lo = hi = int(text)
-    except ValueError:
-        raise UsageError(f"cannot parse n range {text!r}; expected N or A..B")
-    if lo < 1 or hi < lo:
-        raise UsageError(f"invalid n range {text!r}")
-    return lo, hi
 
 
 def _resolve_table(
@@ -185,9 +208,7 @@ def _resolve_table(
     ensure_fits: Callable[[int], None],
 ) -> TruthTable:
     """Build or load the table; ``ensure_fits(arity)`` runs before a
-    generated table is allocated and right after a file is loaded."""
-    if n is not None and n < 1:
-        raise UsageError(f"--n must be at least 1, got {n}")
+    generated table is allocated and before a file's data line is parsed."""
     if source in _GENERATED_SOURCES:
         if n is None:
             raise UsageError(f"--n is required with --oracle {source}")
@@ -202,10 +223,14 @@ def _resolve_table(
             return random_balanced(n, seed)
         return random_table(n, seed)
     path = source[5:] if source.startswith("file:") else source
-    table = load_truth_table(path)
+    line = read_data_line(path)
+    arity = len(line).bit_length() - 1
+    # Other lengths fail in from_string; a mismatched --n is reported once the table parses.
+    if arity >= 1 and len(line) == 1 << arity and n in (None, arity):
+        ensure_fits(arity)
+    table = TruthTable.from_string(line)
     if n is not None and table.n != n:
         raise UsageError(f"--n {n} does not match table arity {table.n} from {path}")
-    ensure_fits(table.n)
     return table
 
 
@@ -218,18 +243,14 @@ def _ensure_fits(cfg: ExperimentConfig, n: int) -> None:
     """
     pseudo_pure = cfg.command == "sweep" or cfg.epsilon is not None or cfg.thermal_p is not None
     dense = pseudo_pure or cfg.backend in ("dense", "both")
-    n_spins = n + 1 + int(cfg.detection == "separate")
+    n_spins = SpinSystem(n, has_detection_spin=(cfg.detection == "separate")).n_spins
     ensure_capacity(n_spins, "dense" if dense else "diagonal", cfg.max_spins)
 
 
 def _pseudo_pure_config(cfg: ExperimentConfig) -> PseudoPureConfig | None:
-    if cfg.epsilon is not None and cfg.thermal_p is not None:
-        raise UsageError("--epsilon and --thermal-p are mutually exclusive")
-    if cfg.epsilon is not None:
-        return PseudoPureConfig(epsilon=cfg.epsilon)
-    if cfg.thermal_p is not None:
-        return PseudoPureConfig(thermal_p=cfg.thermal_p)
-    return None
+    if cfg.epsilon is None and cfg.thermal_p is None:
+        return None
+    return PseudoPureConfig(cfg.epsilon, cfg.thermal_p)
 
 
 def _timed(fn, *args, **kwargs) -> tuple[Outcome, float]:
@@ -298,8 +319,6 @@ def cmd_run(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> dict:
-    if cfg.seed is None:
-        raise UsageError("--seed is required for sweep (balanced tables are random)")
     _ensure_fits(cfg, cfg.n_max)
     pp_config = _pseudo_pure_config(cfg) or PseudoPureConfig(thermal_p=_DEFAULT_THERMAL_P)
     rng = np.random.default_rng(cfg.seed)
@@ -394,45 +413,16 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _check_seed(seed: int | None) -> None:
-    if seed is not None and not 0 <= seed < 2**64:
-        raise UsageError(f"--seed must be an unsigned 64-bit integer, got {seed}")
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        command=args.command,
-        # Only run has --oracle and only sweep has --trials.
-        oracle_source=getattr(args, "oracle", None),
-        seed=args.seed,
-        backend=args.backend,
-        detection=args.detection,
-        epsilon=args.epsilon,
-        thermal_p=args.thermal_p,
-        tolerance=args.tolerance,
-        trials=getattr(args, "trials", 20),
-        fmt=args.fmt,
-        out=args.out,
-        max_spins=args.max_spins,
-    )
-    _check_seed(cfg.seed)
-    if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
-        raise UsageError(f"--tolerance must be a positive finite number, got {cfg.tolerance!r}")
-    for flag, value in (("--epsilon", cfg.epsilon), ("--thermal-p", cfg.thermal_p)):
-        if value is not None and not 0.0 < value <= 1.0:
-            raise UsageError(f"{flag} must lie in (0, 1], got {value!r}")
-    if cfg.trials < 0:
-        raise UsageError(f"--trials must be non-negative, got {cfg.trials}")
+    cfg = ExperimentConfig(**vars(args))
+    if cfg.command == "sweep":
+        cfg.n, cfg.n_max = cfg.n
     if cfg.max_spins is not None:
         print(
             f"warning: capacity limit raised to {cfg.max_spins} spins; "
             "may exhaust memory",
             file=sys.stderr,
         )
-    if args.command == "sweep":
-        cfg.n, cfg.n_max = _parse_n_range(args.n)
-    else:
-        cfg.n = args.n
     return cfg
 
 
@@ -441,7 +431,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "oracle":
-            _check_seed(args.seed)
             sys.stdout.write(cmd_oracle(args.oracle, args.n, args.seed))
             return EXIT_OK
         cfg = _config_from_args(args)
@@ -456,6 +445,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_TABLE
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError as exc:
+        print(f"capacity error: memory ran out ({exc or 'no detail'})", file=sys.stderr)
         return EXIT_CAPACITY
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)

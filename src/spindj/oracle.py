@@ -163,9 +163,8 @@ def random_table(n: int, seed: int) -> TruthTable:
     return TruthTable(rng.integers(0, 2, size=1 << n, dtype=np.uint8))
 
 
-def parse_truth_table(text: str) -> TruthTable:
-    """Parse the table file format: comment lines starting with '#', then
-    a single line of 2^n characters from {0,1}."""
+def _data_line(text: str) -> str:
+    """The one line of a table file that is neither blank nor a comment."""
     lines = [
         line.strip()
         for line in text.splitlines()
@@ -175,12 +174,23 @@ def parse_truth_table(text: str) -> TruthTable:
         raise TruthTableError(
             f"expected exactly one data line of 0/1 characters, found {len(lines)}"
         )
-    return TruthTable.from_string(lines[0])
+    return lines[0]
 
 
-def load_truth_table(path: str | Path) -> TruthTable:
+def parse_truth_table(text: str) -> TruthTable:
+    """Parse the table file format: comment lines starting with '#', then
+    a single line of 2^n characters from {0,1}."""
+    return TruthTable.from_string(_data_line(text))
+
+
+def read_data_line(path: str | Path) -> str:
+    """The unparsed data line of a table file; its length gives the arity."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise TruthTableError(f"{path} is not UTF-8 text (byte {exc.start})") from None
-    return parse_truth_table(text)
+    return _data_line(text)
+
+
+def load_truth_table(path: str | Path) -> TruthTable:
+    return TruthTable.from_string(read_data_line(path))

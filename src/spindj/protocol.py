@@ -238,10 +238,7 @@ def run_pseudo_pure_dj(
     is UNDECIDED; otherwise it is CONSTANT0 above eps/2 and BALANCED below.
     """
     ensure_capacity(system.n_spins, "dense", max_spins)
-    if table.n != system.n_inputs:
-        raise ValueError(
-            f"table arity {table.n} does not match {system.n_inputs} input spins"
-        )
+    oracle = reversible_oracle(system, table)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     epsilon = config.resolve_epsilon(system.n_spins)
@@ -254,7 +251,7 @@ def run_pseudo_pure_dj(
     )
 
     evaluations = 0
-    state = oracle_channel(state, reversible_oracle(system, table))
+    state = oracle_channel(state, oracle)
     evaluations += 1
 
     state = conjugate(state, _basis_change(system, hadamards))

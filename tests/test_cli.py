@@ -1,9 +1,13 @@
+import contextlib
 import csv
 import io
 import json
+import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spindj import cli
 
@@ -440,3 +444,201 @@ class TestOracleCommand:
         )
         assert code == 0
         assert "skipped" in out
+
+
+class TestFlagRules:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--n", "3", "--oracle", "constant0", "--max-spins", "0"),
+            ("sweep", "--n", "1..3", "--seed", "1", "--max-spins", "-1"),
+        ],
+    )
+    def test_max_spins_below_one_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: argument --max-spins: ")
+        assert err.count("\n") == 1 and "limit raised" not in err
+
+    def test_usage_error_is_reported_before_capacity(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys,
+                "run", "--n", "30", "--oracle", "constant0",
+                "--epsilon", "0.5", "--thermal-p", "1e-5",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "--epsilon" in err and "--thermal-p" in err
+        assert peak < 1 << 20
+
+
+class TestCapacityBeforeWork:
+    def test_memory_exhaustion_is_a_capacity_error(self, capsys, monkeypatch):
+        def exhausted(n, value):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(cli.TruthTable, "constant", staticmethod(exhausted))
+        code, out, err = run_cli(capsys, "run", "--n", "3", "--oracle", "constant0")
+        assert code == 4
+        assert out == ""
+        assert err == "capacity error: memory ran out (Unable to allocate 1.00 TiB)\n"
+
+    @pytest.mark.parametrize("first", ["0", "x"])
+    def test_table_file_capacity_comes_from_its_line_length(self, capsys, tmp_path, first):
+        # n = 22: the check needs only the text and its data line, even
+        # when the line would not parse.
+        path = tmp_path / "huge.tt"
+        path.write_text(first + "1" * ((1 << 22) - 1) + "\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "run", "--oracle", str(path), "--backend", "dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert out == ""
+        assert err.startswith("capacity error: 23 spins") and err.count("\n") == 1
+        assert peak < 10 << 20
+
+
+# -- every argv ends in a documented exit code --------------------------------
+
+ERROR_PREFIXES = {
+    1: "usage error: ",
+    2: "file error: ",
+    3: "truth table error: ",
+    4: "capacity error: ",
+}
+MAX_SPINS_WARNING = "warning: capacity limit raised"
+
+TABLE_FILES = {
+    "good.tt": b"# xor\n0110\n",
+    "neither.tt": b"0001\n",
+    "bad-character.tt": b"01x0\n",
+    "not-utf8.tt": b"\xff\xfe01\n",
+    "length-three.tt": b"011\n",
+    "two-lines.tt": b"01\n10\n",
+    "wide.tt": b"01" * (1 << 12) + b"\n",  # n = 13: over the dense capacity
+}
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tables")
+    for name, data in TABLE_FILES.items():
+        (root / name).write_bytes(data)
+    return root
+
+
+def _values(valid, invalid):
+    return st.one_of(valid, st.sampled_from(invalid))
+
+
+BAD_NUMBERS = ["0", "-1", "nan", "inf", str(2**64), "abc", "6..2"]
+SMALL_N = st.integers(1, 6).map(str)
+OVER_CAPACITY_N = st.sampled_from(["30", "40"])
+# Valid --max-spins values stay at or below 9 spins, so no example that
+# passes the capacity check holds more than a 512 x 512 dense state.
+FLAG_VALUES = {
+    "--seed": _values(st.integers(0, 2**64 - 1).map(str), ["-1", str(2**64), "nan", "abc"]),
+    "--epsilon": _values(st.sampled_from(["0.25", "1", "1e-5"]), BAD_NUMBERS + ["2"]),
+    "--thermal-p": _values(st.sampled_from(["0.25", "1", "1e-5"]), BAD_NUMBERS + ["2"]),
+    "--tolerance": _values(st.sampled_from(["1e-6", "0.1"]), BAD_NUMBERS),
+    "--detection": st.sampled_from(["ancilla", "separate", "both"]),
+    "--format": st.sampled_from(["json", "csv", "xml"]),
+    "--max-spins": _values(st.integers(1, 9).map(str), BAD_NUMBERS),
+    "--trials": _values(st.integers(0, 3).map(str), BAD_NUMBERS),
+}
+OPTIONAL_FLAGS = {
+    "run": ["--seed", "--backend", "--detection", "--epsilon", "--thermal-p",
+            "--tolerance", "--format", "--out", "--max-spins"],
+    "sweep": ["--backend", "--trials", "--detection", "--epsilon", "--thermal-p",
+              "--tolerance", "--format", "--out", "--max-spins"],
+    "oracle": ["--n", "--seed"],
+}
+
+
+@st.composite
+def cli_argv(draw, table_dir):
+    command = draw(st.sampled_from(["run", "sweep", "oracle"]))
+    sources = ["constant0", "constant1", "balanced-random", "random", "missing.tt"]
+    sources += [str(table_dir / name) for name in TABLE_FILES]
+    sources += ["file:" + str(table_dir / "good.tt")]
+    values = dict(FLAG_VALUES)
+    values["--oracle"] = st.sampled_from(sources)
+    values["--n"] = _values(st.one_of(SMALL_N, OVER_CAPACITY_N), BAD_NUMBERS)
+    values["--backend"] = st.sampled_from(["dense", "diagonal", "both", "gpu"])
+    values["--out"] = st.sampled_from(
+        [str(table_dir / "report.out"), str(table_dir / "no-such-dir" / "report.out")]
+    )
+    if command == "sweep":
+        ranges = st.lists(st.integers(1, 6), min_size=2, max_size=2).map(
+            lambda r: "{}..{}".format(*sorted(r))
+        )
+        values["--n"] = _values(
+            st.one_of(ranges, SMALL_N), BAD_NUMBERS + ["1..30", "14..16", "1..", "..3", "0..3"]
+        )
+        required = ["--n", "--seed"]
+    else:
+        required = ["--oracle"] + (["--n"] if command == "run" else [])
+
+    groups = [
+        [flag, draw(values[flag])]
+        for flag in required
+        if draw(st.integers(0, 9))  # now and then a required flag is left out
+    ]
+    for flag in draw(st.lists(st.sampled_from(OPTIONAL_FLAGS[command]), unique=True)):
+        groups.append([flag, draw(values[flag])])
+    if draw(st.integers(0, 9)) == 0:
+        groups.append(["--bogus"])
+    groups = draw(st.permutations(groups))
+    argv = [command] + [token for group in groups for token in group]
+    if draw(st.integers(0, 19)) == 0:
+        argv.append(draw(st.sampled_from(sorted(values))))  # a flag without its value
+    return argv
+
+
+def test_every_argv_ends_in_a_documented_exit(table_dir):
+    @settings(deadline=None, max_examples=300)
+    @given(argv=cli_argv(table_dir))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        lines = err.getvalue().splitlines()
+        assert "Traceback" not in err.getvalue()
+        if lines and lines[0].startswith(MAX_SPINS_WARNING):
+            assert int(argv[argv.index("--max-spins") + 1]) >= 1
+            lines = lines[1:]
+        if code != 0:
+            assert code in ERROR_PREFIXES
+            assert out.getvalue() == ""
+            assert len(lines) == 1
+            message = lines[0]
+            assert message.startswith(ERROR_PREFIXES[code])
+            assert len(message) > len(ERROR_PREFIXES[code])
+            if code == 1:
+                assert re.search(r"--[a-z]", message)
+            return
+        assert lines == []
+        if "--out" in argv:
+            report = (table_dir / "report.out").read_text()
+        else:
+            report = out.getvalue()
+        if argv[0] == "oracle":
+            assert report.startswith("n=")
+        elif "csv" in argv:
+            header = next(csv.reader(io.StringIO(report)))
+            columns = cli.RUN_CSV_COLUMNS if argv[0] == "run" else cli.SWEEP_CSV_COLUMNS
+            assert tuple(header) == columns
+        else:
+            assert json.loads(report)["version"] == "v1"
+
+    check()
