@@ -58,6 +58,10 @@ SWEEP_CSV_COLUMNS = (
 
 _GENERATED_SOURCES = ("constant0", "constant1", "balanced-random", "random")
 _DEFAULT_THERMAL_P = 1e-5
+# The report's config block, in order.
+_REPORT_FIELDS = (
+    "n", "oracle", "seed", "backend", "detection", "epsilon", "thermal_p", "tolerance", "max_spins"
+)
 
 
 class UsageError(Exception):
@@ -74,7 +78,7 @@ class ExperimentConfig:
     command: str
     n: int | None = None
     n_max: int | None = None
-    oracle_source: str | None = None
+    oracle: str | None = None
     seed: int | None = None
     backend: str = "diagonal"
     detection: str = "ancilla"
@@ -87,21 +91,12 @@ class ExperimentConfig:
     max_spins: int | None = None
 
     def as_dict(self) -> dict:
-        fields = {
-            "n": self.n,
-            "oracle": self.oracle_source,
-            "seed": self.seed,
-            "backend": self.backend,
-            "detection": self.detection,
-            "epsilon": self.epsilon,
-            "thermal_p": self.thermal_p,
-            "tolerance": self.tolerance,
-            "max_spins": self.max_spins,
-        }
-        if self.command == "sweep":
-            fields["n_max"] = self.n_max
-            fields["trials"] = self.trials
-        return fields
+        keys = _REPORT_FIELDS + (("n_max", "trials") if self.command == "sweep" else ())
+        return {key: getattr(self, key) for key in keys}
+
+    def system(self, n: int) -> SpinSystem:
+        """The register a run on ``n`` inputs builds under this config."""
+        return SpinSystem(n, has_detection_spin=(self.detection == "separate"))
 
 
 def _checked(convert: Callable, ok: Callable, rule: str) -> Callable:
@@ -168,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--oracle",
         required=True,
-        dest="oracle_source",
         help="constant0 | constant1 | balanced-random | random | file:PATH | PATH",
     )
     run.add_argument("--seed", type=_SEED, help="RNG seed (u64) for randomized oracles")
@@ -193,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_flags(sweep)
 
-    oracle = commands.add_parser("oracle", help="inspect a truth table")
+    oracle = commands.add_parser("oracle", help="inspect a truth table", argument_default=suppress)
     oracle.add_argument("--oracle", required=True, help="table source as for run")
     oracle.add_argument("--n", type=_AT_LEAST_1, help="arity for generated tables")
     oracle.add_argument("--seed", type=_SEED, help="RNG seed for randomized oracles")
@@ -201,20 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_table(
-    source: str,
-    n: int | None,
-    seed: int | None,
-    ensure_fits: Callable[[int], None],
-) -> TruthTable:
-    """Build or load the table; ``ensure_fits(arity)`` runs before a
+def _resolve_table(cfg: ExperimentConfig) -> TruthTable:
+    """Build or load the table; :func:`_ensure_fits` runs before a
     generated table is allocated and before a file's data line is parsed."""
+    source, n, seed = cfg.oracle, cfg.n, cfg.seed
     if source in _GENERATED_SOURCES:
         if n is None:
             raise UsageError(f"--n is required with --oracle {source}")
         if seed is None and source not in ("constant0", "constant1"):
             raise UsageError(f"--seed is required with --oracle {source}")
-        ensure_fits(n)
+        _ensure_fits(cfg, n)
         if source == "constant0":
             return TruthTable.constant(n, 0)
         if source == "constant1":
@@ -227,7 +217,7 @@ def _resolve_table(
     arity = len(line).bit_length() - 1
     # Other lengths fail in from_string; a mismatched --n is reported once the table parses.
     if arity >= 1 and len(line) == 1 << arity and n in (None, arity):
-        ensure_fits(arity)
+        _ensure_fits(cfg, arity)
     table = TruthTable.from_string(line)
     if n is not None and table.n != n:
         raise UsageError(f"--n {n} does not match table arity {table.n} from {path}")
@@ -237,20 +227,22 @@ def _resolve_table(
 def _ensure_fits(cfg: ExperimentConfig, n: int) -> None:
     """Raise :class:`CapacityError` if ``n`` inputs exceed a backend the command uses.
 
-    The pseudo-pure baseline (every sweep, and a run given --epsilon or
-    --thermal-p) always runs dense. The dense limit is the lower one, so
-    it covers the diagonal backend too.
+    The pseudo-pure baseline runs dense, and the dense limit is the lower
+    one. With the defaults, as for ``spindj oracle``, the inputs and the
+    ancilla meet the diagonal limit.
     """
-    pseudo_pure = cfg.command == "sweep" or cfg.epsilon is not None or cfg.thermal_p is not None
-    dense = pseudo_pure or cfg.backend in ("dense", "both")
-    n_spins = SpinSystem(n, has_detection_spin=(cfg.detection == "separate")).n_spins
-    ensure_capacity(n_spins, "dense" if dense else "diagonal", cfg.max_spins)
+    dense = _pseudo_pure_config(cfg) is not None or cfg.backend in ("dense", "both")
+    ensure_capacity(cfg.system(n).n_spins, "dense" if dense else "diagonal", cfg.max_spins)
 
 
 def _pseudo_pure_config(cfg: ExperimentConfig) -> PseudoPureConfig | None:
-    if cfg.epsilon is None and cfg.thermal_p is None:
-        return None
-    return PseudoPureConfig(cfg.epsilon, cfg.thermal_p)
+    """The baseline's prefactor: given by --epsilon or --thermal-p, the
+    default p for a sweep, and ``None`` where the command runs no baseline."""
+    if cfg.epsilon is not None or cfg.thermal_p is not None:
+        return PseudoPureConfig(cfg.epsilon, cfg.thermal_p)
+    if cfg.command == "sweep":
+        return PseudoPureConfig(thermal_p=_DEFAULT_THERMAL_P)
+    return None
 
 
 def _timed(fn, *args, **kwargs) -> tuple[Outcome, float]:
@@ -273,10 +265,8 @@ def _record(protocol: str, n: int, oracle_class: OracleClass, outcome: Outcome, 
 
 
 def cmd_run(cfg: ExperimentConfig) -> dict:
-    table = _resolve_table(
-        cfg.oracle_source, cfg.n, cfg.seed, lambda arity: _ensure_fits(cfg, arity)
-    )
-    system = SpinSystem(table.n, has_detection_spin=(cfg.detection == "separate"))
+    table = _resolve_table(cfg)
+    system = cfg.system(table.n)
     oracle_class = classify(table)
     pp_config = _pseudo_pure_config(cfg)
 
@@ -320,13 +310,13 @@ def cmd_run(cfg: ExperimentConfig) -> dict:
 
 def cmd_sweep(cfg: ExperimentConfig) -> dict:
     _ensure_fits(cfg, cfg.n_max)
-    pp_config = _pseudo_pure_config(cfg) or PseudoPureConfig(thermal_p=_DEFAULT_THERMAL_P)
+    pp_config = _pseudo_pure_config(cfg)
     rng = np.random.default_rng(cfg.seed)
 
     aggregates = []
     for n in range(cfg.n, cfg.n_max + 1):
         start = time.perf_counter()
-        system = SpinSystem(n, has_detection_spin=(cfg.detection == "separate"))
+        system = cfg.system(n)
         constant = TruthTable.constant(n, 0)
         liouville = run_liouville_dj(
             system, constant, cfg.backend, tolerance=cfg.tolerance, max_spins=cfg.max_spins
@@ -365,18 +355,15 @@ def cmd_sweep(cfg: ExperimentConfig) -> dict:
     }
 
 
-def cmd_oracle(source: str, n: int | None, seed: int | None) -> str:
-    # The listed oracle acts on the inputs and the ancilla.
-    table = _resolve_table(
-        source, n, seed, lambda arity: ensure_capacity(arity + 1, "diagonal")
-    )
+def cmd_oracle(cfg: ExperimentConfig) -> str:
+    table = _resolve_table(cfg)
     oracle_class = classify(table)
     lines = [f"n={table.n}, {oracle_class.value}, ones={table.ones}"]
     if oracle_class is OracleClass.NEITHER:
         lines.append(
             "warning: table is neither constant nor balanced; the promise is violated"
         )
-    system = SpinSystem(table.n)
+    system = cfg.system(table.n)
     if table.n <= 4:
         permutation = reversible_oracle(system, table)
         lines.append(f"reversible oracle on {system.dim} basis states (I0 first):")
@@ -429,13 +416,11 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "oracle":
-            sys.stdout.write(cmd_oracle(args.oracle, args.n, args.seed))
-            return EXIT_OK
-        cfg = _config_from_args(args)
-        report = cmd_run(cfg) if args.command == "run" else cmd_sweep(cfg)
-        _emit(report, cfg.fmt, cfg.out)
+        cfg = _config_from_args(parser.parse_args(argv))
+        if cfg.command == "oracle":
+            sys.stdout.write(cmd_oracle(cfg))
+        else:
+            _emit(cmd_run(cfg) if cfg.command == "run" else cmd_sweep(cfg), cfg.fmt, cfg.out)
         return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

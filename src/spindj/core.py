@@ -13,6 +13,7 @@ detection spin (when present) is the least significant bit. The alpha
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +22,15 @@ import numpy as np
 # N=13); the diagonal backend only stores a 2^N population vector.
 DENSE_SPIN_LIMIT = 13
 DIAGONAL_SPIN_LIMIT = 26
+# The largest registers whose state numpy can index (8 * 2^N bytes of
+# populations, 16 * 4^N of matrix): 59 and 29 spins on a 64-bit build.
+_INDEXABLE_SPINS = {
+    "diagonal": (sys.maxsize // 8).bit_length() - 1,
+    "dense": ((sys.maxsize // 16).bit_length() - 1) // 2,
+}
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
-TRACE_TOL = 1e-12
 POPULATION_TOL = 1e-12
 COHERENCE_TOL = 1e-10
 EIGENVALUE_FLOOR = 1e-15
@@ -42,13 +48,14 @@ class CapacityError(Exception):
 
 
 def ensure_capacity(n_spins: int, backend: str, limit: int | None = None) -> None:
-    """Raise :class:`CapacityError` if ``n_spins`` exceeds the backend limit."""
-    if backend == "dense":
-        cap = DENSE_SPIN_LIMIT if limit is None else limit
-    elif backend == "diagonal":
-        cap = DIAGONAL_SPIN_LIMIT if limit is None else limit
-    else:
+    """Raise :class:`CapacityError` if ``n_spins`` exceeds the backend limit;
+    a given ``limit`` replaces the default one, up to what numpy can index."""
+    if backend not in _INDEXABLE_SPINS:
         raise ValueError(f"unknown backend {backend!r}")
+    if limit is None:
+        cap = DENSE_SPIN_LIMIT if backend == "dense" else DIAGONAL_SPIN_LIMIT
+    else:
+        cap = min(limit, _INDEXABLE_SPINS[backend])
     if n_spins > cap:
         raise CapacityError(
             f"{n_spins} spins exceed the {backend} backend capacity of {cap}"
@@ -237,8 +244,10 @@ class DensityOperator:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.matrix).real.copy()
+    @property
+    def populations(self) -> np.ndarray:
+        """Read-only view of the real diagonal."""
+        return self.matrix.diagonal().real
 
     def __add__(self, other: "DensityOperator") -> "DensityOperator":
         return DensityOperator(self.matrix + other.matrix, check=False)
@@ -405,7 +414,7 @@ def to_diagonal(state: DensityOperator) -> DiagonalState:
         raise ValueError(
             f"state has coherences up to {worst:.3e}; not representable diagonally"
         )
-    return DiagonalState(np.diag(state.matrix).real)
+    return DiagonalState(state.populations.copy())
 
 
 def von_neumann_entropy(state: DensityOperator | DiagonalState) -> float:

@@ -150,11 +150,7 @@ def _longitudinal_signal(state, spin: int) -> float:
     2Iz is diagonal (+1 on alpha, -1 on beta), so coherences never
     contribute: the signal is the alpha half-sum minus the beta half-sum.
     """
-    if isinstance(state, DiagonalState):
-        populations = state.populations
-    else:
-        populations = state.matrix.diagonal().real
-    halves = populations.reshape(1 << spin, 2, -1)
+    halves = state.populations.reshape(1 << spin, 2, -1)
     return float(halves[:, 0].sum() - halves[:, 1].sum())
 
 
@@ -173,8 +169,6 @@ def run_liouville_dj(
     inversion pulse that would flip a negative constant signal is left
     out; sign handling lives in :func:`classify_signal`.
     """
-    if backend not in ("dense", "diagonal"):
-        raise ValueError(f"unknown backend {backend!r}")
     ensure_capacity(system.n_spins, backend, max_spins)
     oracle = reversible_oracle(system, table)
 
@@ -258,8 +252,7 @@ def run_pseudo_pure_dj(
 
     # Axes: I0, the inputs as one axis, the detection spin (length 1 if absent);
     # the block sums over the ancilla and the detection spin.
-    populations = state.matrix.diagonal().real
-    block = populations.reshape(2, 1 << system.n_inputs, -1)[:, 0].sum()
+    block = state.populations.reshape(2, 1 << system.n_inputs, -1)[:, 0].sum()
     signal = epsilon * float(block)
     if epsilon <= 2.0 * tolerance:
         verdict = Verdict.UNDECIDED

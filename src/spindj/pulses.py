@@ -57,8 +57,6 @@ def _single_spin_rotation(axis: str, angle: float) -> np.ndarray:
 
 def rotation_unitary(system: SpinSystem, spec: PulseSpec) -> Operator:
     """Tensor product of single-spin rotations on the targets, identity elsewhere."""
-    for spin in spec.targets:
-        system.check_spin(spin)
     block = _single_spin_rotation(spec.axis, spec.angle)
     matrix = embed(system, {spin: block for spin in spec.targets})
     return Operator(matrix, unitary=True)
@@ -70,7 +68,7 @@ def crusher(state: DensityOperator) -> DiagonalState:
     Diagonal entries are carried over unchanged, so the trace is
     preserved exactly.
     """
-    return DiagonalState(np.diag(state.matrix).real.copy(), check=False)
+    return DiagonalState(state.populations.copy(), check=False)
 
 
 def fanout_unitary(system: SpinSystem, control: int, target: int) -> BasisPermutation:

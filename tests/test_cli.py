@@ -277,6 +277,53 @@ class TestRunCommand:
         assert json.loads(target.read_text())["version"] == "v1"
 
 
+class TestReportConfig:
+    """The report's config block: its keys in order, with their values."""
+
+    def test_run_given_every_flag(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            capsys,
+            "run", "--n", "3", "--oracle", "balanced-random", "--seed", "5",
+            "--backend", "both", "--detection", "separate", "--epsilon", "0.5",
+            "--tolerance", "1e-3", "--format", "json", "--out", str(target),
+            "--max-spins", "12",
+        )
+        assert code == 0 and out == ""
+        assert list(json.loads(target.read_text())["config"].items()) == [
+            ("n", 3),
+            ("oracle", "balanced-random"),
+            ("seed", 5),
+            ("backend", "both"),
+            ("detection", "separate"),
+            ("epsilon", 0.5),
+            ("thermal_p", None),
+            ("tolerance", 1e-3),
+            ("max_spins", 12),
+        ]
+
+    def test_sweep(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--n", "2..4", "--seed", "7", "--trials", "3",
+            "--detection", "separate", "--thermal-p", "1e-3",
+        )
+        assert code == 0
+        assert list(json.loads(out)["config"].items()) == [
+            ("n", 2),
+            ("oracle", None),
+            ("seed", 7),
+            ("backend", "diagonal"),
+            ("detection", "separate"),
+            ("epsilon", None),
+            ("thermal_p", 1e-3),
+            ("tolerance", 1e-6),
+            ("max_spins", None),
+            ("n_max", 4),
+            ("trials", 3),
+        ]
+
+
 class TestDeterminism:
     def test_identical_config_gives_identical_json(self, capsys):
         argv = ("run", "--n", "4", "--oracle", "balanced-random", "--seed", "99")
@@ -419,6 +466,22 @@ class TestOracleCommand:
         assert err.startswith("capacity error: 41 spins") and err.count("\n") == 1
         assert peak < 1 << 20
 
+    def test_capacity_boundary_is_the_diagonal_limit(self, capsys):
+        # 25 inputs + ancilla = 26 spins, the diagonal limit; one more is refused.
+        code, out, _ = run_cli(capsys, "oracle", "--n", "25", "--oracle", "constant0")
+        assert code == 0
+        assert out.startswith("n=25, constant0, ones=0\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "oracle", "--n", "26", "--oracle", "constant0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert out == ""
+        assert err == "capacity error: 27 spins exceed the diagonal backend capacity of 26\n"
+        assert peak < 1 << 20
+
     def test_table_file_that_is_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "bin.txt"
         path.write_bytes(b"\xff\xfe01\n")
@@ -489,6 +552,30 @@ class TestCapacityBeforeWork:
         assert code == 4
         assert out == ""
         assert err == "capacity error: memory ran out (Unable to allocate 1.00 TiB)\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--n", "63", "--oracle", "constant0", "--max-spins", "100"),
+            ("run", "--n", "30", "--backend", "dense", "--oracle", "constant0", "--max-spins", "40"),
+            ("sweep", "--n", "1..40", "--seed", "1", "--max-spins", "50"),
+        ],
+    )
+    def test_raised_limit_stops_where_numpy_can_no_longer_index(self, capsys, argv):
+        # These registers' states exceed what numpy can address, so no
+        # --max-spins admits them: they are refused before any table is built.
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert out == ""
+        warning, refusal = err.splitlines()
+        assert warning.startswith(MAX_SPINS_WARNING)
+        assert refusal.startswith("capacity error: ") and "Traceback" not in err
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("first", ["0", "x"])
     def test_table_file_capacity_comes_from_its_line_length(self, capsys, tmp_path, first):

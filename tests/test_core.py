@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -29,7 +30,13 @@ from spindj.core import (
     zeeman_product_state,
 )
 from spindj.oracle import TruthTable, reversible_oracle
-from spindj.pulses import PulseSpec, fanout_unitary, inversion_unitary, rotation_unitary
+from spindj.pulses import (
+    PulseSpec,
+    crusher,
+    fanout_unitary,
+    inversion_unitary,
+    rotation_unitary,
+)
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -119,6 +126,17 @@ class TestSpinSystem:
         with pytest.raises(CapacityError):
             ensure_capacity(27, "diagonal")
         ensure_capacity(14, "dense", limit=14)
+
+    @pytest.mark.skipif(sys.maxsize != 2**63 - 1, reason="caps are for a 64-bit build")
+    def test_raised_limit_stops_where_numpy_can_no_longer_index(self):
+        # 8 * 2^59 bytes of populations and 16 * 4^29 bytes of matrix are
+        # addressable; one spin more is not.
+        ensure_capacity(59, "diagonal", limit=100)
+        ensure_capacity(29, "dense", limit=100)
+        with pytest.raises(CapacityError, match="capacity of 59$"):
+            ensure_capacity(60, "diagonal", limit=100)
+        with pytest.raises(CapacityError, match="capacity of 29$"):
+            ensure_capacity(30, "dense", limit=100)
 
 
 class TestPolarizationOperators:
@@ -397,6 +415,20 @@ class TestBackendConversion:
         matrix = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
         with pytest.raises(ValueError):
             to_diagonal(DensityOperator(matrix))
+
+    def test_populations_is_a_read_only_view_of_the_diagonal(self):
+        state = DensityOperator(np.array([[0.75, 0.25j], [-0.25j, 0.25]]))
+        assert np.array_equal(state.populations, [0.75, 0.25])
+        assert np.shares_memory(state.populations, state.matrix)
+        with pytest.raises(ValueError):
+            state.populations[0] = 1.0
+
+    def test_diagonal_states_own_their_populations(self):
+        state = DensityOperator(np.eye(4, dtype=complex) / 4.0)
+        for diagonal in (to_diagonal(state), crusher(state)):
+            assert np.array_equal(diagonal.populations, [0.25] * 4)
+            assert not np.shares_memory(diagonal.populations, state.matrix)
+            assert diagonal.populations.flags.c_contiguous
 
     def test_uniform_is_scaled_identity(self):
         state = DiagonalState([0.25] * 4)
