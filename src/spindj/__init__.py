@@ -38,12 +38,10 @@ from .oracle import (
 )
 from .protocol import (
     Outcome,
-    PseudoPureConfig,
     Verdict,
     classical_dj,
     classify_signal,
     prepare_liouville_input,
-    pseudo_pure_state,
     run_liouville_dj,
     run_pseudo_pure_dj,
     thermal_epsilon,
@@ -60,7 +58,6 @@ __all__ = [
     "Operator",
     "OracleClass",
     "Outcome",
-    "PseudoPureConfig",
     "PulseSpec",
     "SpinSystem",
     "TruthTable",
@@ -80,7 +77,6 @@ __all__ = [
     "pauli_z",
     "polarization_operator",
     "prepare_liouville_input",
-    "pseudo_pure_state",
     "random_balanced",
     "random_constant",
     "random_table",

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -34,10 +35,10 @@ from .oracle import (
 from .protocol import (
     DEFAULT_SIGNAL_TOL,
     Outcome,
-    PseudoPureConfig,
     classical_dj,
     run_liouville_dj,
     run_pseudo_pure_dj,
+    thermal_epsilon,
 )
 
 EXIT_OK = 0
@@ -69,6 +70,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read "-1e-6" and "-.5" as values, not flags (older argparse admits
+        # only "-1" and "-1.5"), so a flag's rule reports them.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -231,18 +238,29 @@ def _ensure_fits(cfg: ExperimentConfig, n: int) -> None:
     one. With the defaults, as for ``spindj oracle``, the inputs and the
     ancilla meet the diagonal limit.
     """
-    dense = _pseudo_pure_config(cfg) is not None or cfg.backend in ("dense", "both")
-    ensure_capacity(cfg.system(n).n_spins, "dense" if dense else "diagonal", cfg.max_spins)
+    n_spins = cfg.system(n).n_spins
+    dense = _epsilon(cfg, n_spins) is not None or cfg.backend in ("dense", "both")
+    ensure_capacity(n_spins, "dense" if dense else "diagonal", cfg.max_spins)
 
 
-def _pseudo_pure_config(cfg: ExperimentConfig) -> PseudoPureConfig | None:
-    """The baseline's prefactor: given by --epsilon or --thermal-p, the
-    default p for a sweep, and ``None`` where the command runs no baseline."""
-    if cfg.epsilon is not None or cfg.thermal_p is not None:
-        return PseudoPureConfig(cfg.epsilon, cfg.thermal_p)
-    if cfg.command == "sweep":
-        return PseudoPureConfig(thermal_p=_DEFAULT_THERMAL_P)
-    return None
+def _epsilon(cfg: ExperimentConfig, n_spins: int) -> float | None:
+    """The baseline's prefactor on ``n_spins``: --epsilon, or epsilon(N)
+    from --thermal-p (the default p for a sweep); ``None`` where the
+    command runs no baseline. Below the smallest normal float it is a
+    usage error, so the ratio 1/eps stays finite."""
+    if cfg.epsilon is not None:
+        flag, epsilon = "--epsilon", cfg.epsilon
+    elif cfg.thermal_p is not None or cfg.command == "sweep":
+        p = _DEFAULT_THERMAL_P if cfg.thermal_p is None else cfg.thermal_p
+        flag, epsilon = "--thermal-p", thermal_epsilon(n_spins, p)
+    else:
+        return None
+    if epsilon < sys.float_info.min:
+        raise UsageError(
+            f"argument {flag}: epsilon = {epsilon!r} on {n_spins} spins is below "
+            f"the smallest normal float {sys.float_info.min!r}"
+        )
+    return epsilon
 
 
 def _timed(fn, *args, **kwargs) -> tuple[Outcome, float]:
@@ -268,29 +286,16 @@ def cmd_run(cfg: ExperimentConfig) -> dict:
     table = _resolve_table(cfg)
     system = cfg.system(table.n)
     oracle_class = classify(table)
-    pp_config = _pseudo_pure_config(cfg)
+    epsilon = _epsilon(cfg, system.n_spins)
+    limits = {"tolerance": cfg.tolerance, "max_spins": cfg.max_spins}
 
     backends = ("dense", "diagonal") if cfg.backend == "both" else (cfg.backend,)
     records = []
     for backend in backends:
-        outcome, wall = _timed(
-            run_liouville_dj,
-            system,
-            table,
-            backend,
-            tolerance=cfg.tolerance,
-            max_spins=cfg.max_spins,
-        )
+        outcome, wall = _timed(run_liouville_dj, system, table, backend, **limits)
         records.append(_record("liouville", table.n, oracle_class, outcome, wall))
-    if pp_config is not None:
-        outcome, wall = _timed(
-            run_pseudo_pure_dj,
-            system,
-            table,
-            pp_config,
-            tolerance=cfg.tolerance,
-            max_spins=cfg.max_spins,
-        )
+    if epsilon is not None:
+        outcome, wall = _timed(run_pseudo_pure_dj, system, table, epsilon, **limits)
         records.append(_record("pseudo_pure", table.n, oracle_class, outcome, wall))
 
     report = {
@@ -310,27 +315,21 @@ def cmd_run(cfg: ExperimentConfig) -> dict:
 
 def cmd_sweep(cfg: ExperimentConfig) -> dict:
     _ensure_fits(cfg, cfg.n_max)
-    pp_config = _pseudo_pure_config(cfg)
     rng = np.random.default_rng(cfg.seed)
+    limits = {"tolerance": cfg.tolerance, "max_spins": cfg.max_spins}
 
     aggregates = []
     for n in range(cfg.n, cfg.n_max + 1):
         start = time.perf_counter()
         system = cfg.system(n)
         constant = TruthTable.constant(n, 0)
-        liouville = run_liouville_dj(
-            system, constant, cfg.backend, tolerance=cfg.tolerance, max_spins=cfg.max_spins
-        )
+        liouville = run_liouville_dj(system, constant, cfg.backend, **limits)
         balanced_signals = []
         for _ in range(cfg.trials):
             table = random_balanced(n, int(rng.integers(0, 2**63)))
-            outcome = run_liouville_dj(
-                system, table, cfg.backend, tolerance=cfg.tolerance, max_spins=cfg.max_spins
-            )
+            outcome = run_liouville_dj(system, table, cfg.backend, **limits)
             balanced_signals.append(abs(outcome.signal))
-        pseudo = run_pseudo_pure_dj(
-            system, constant, pp_config, tolerance=cfg.tolerance, max_spins=cfg.max_spins
-        )
+        pseudo = run_pseudo_pure_dj(system, constant, _epsilon(cfg, system.n_spins), **limits)
         worst_case = classical_dj(constant).evaluations
         wall = (time.perf_counter() - start) * 1e3
         aggregates.append(

@@ -18,6 +18,7 @@ Three routes to the same decision problem, each returning a comparable
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -68,31 +69,6 @@ class Outcome:
     backend: str
 
 
-@dataclass(frozen=True)
-class PseudoPureConfig:
-    """Sensitivity prefactor for the pseudo-pure baseline.
-
-    Either a fixed ``epsilon`` in (0, 1], or a per-spin polarization
-    ``thermal_p`` from which epsilon(N) = N*p / 2^N is derived.
-    """
-
-    epsilon: float | None = None
-    thermal_p: float | None = None
-
-    def __post_init__(self) -> None:
-        if (self.epsilon is None) == (self.thermal_p is None):
-            raise ValueError("specify exactly one of epsilon or thermal_p")
-        if self.epsilon is not None and not 0.0 < self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in (0, 1]")
-        if self.thermal_p is not None and not 0.0 < self.thermal_p <= 1.0:
-            raise ValueError("thermal_p must lie in (0, 1]")
-
-    def resolve_epsilon(self, n_spins: int) -> float:
-        if self.epsilon is not None:
-            return self.epsilon
-        return thermal_epsilon(n_spins, self.thermal_p)
-
-
 def thermal_epsilon(n_spins: int, p: float) -> float:
     """Spatial-averaging pseudo-pure prefactor epsilon(N) = N*p / 2^N.
 
@@ -101,7 +77,8 @@ def thermal_epsilon(n_spins: int, p: float) -> float:
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("polarization p must lie in (0, 1]")
-    return n_spins * p / float(1 << n_spins)
+    # ldexp scales by 2^-N exactly and underflows to 0 where 2^N has no float.
+    return math.ldexp(n_spins * p, -n_spins)
 
 
 def prepare_liouville_input(system: SpinSystem) -> DiagonalState:
@@ -198,10 +175,6 @@ def pseudo_pure_matrix(n_spins: int, epsilon: float) -> DensityOperator:
     return DensityOperator(matrix, check=False)
 
 
-def pseudo_pure_state(system: SpinSystem, config: PseudoPureConfig) -> DensityOperator:
-    return pseudo_pure_matrix(system.n_spins, config.resolve_epsilon(system.n_spins))
-
-
 def _basis_change(system: SpinSystem, blocks: dict[int, np.ndarray]) -> Operator:
     return Operator(embed(system, blocks), unitary=True, check=False)
 
@@ -209,7 +182,7 @@ def _basis_change(system: SpinSystem, blocks: dict[int, np.ndarray]) -> Operator
 def run_pseudo_pure_dj(
     system: SpinSystem,
     table: TruthTable,
-    config: PseudoPureConfig,
+    epsilon: float,
     *,
     tolerance: float = DEFAULT_SIGNAL_TOL,
     max_spins: int | None = None,
@@ -225,17 +198,19 @@ def run_pseudo_pure_dj(
     of the all-alpha input block: eps for a constant function, 0 for a
     balanced one, and no background is subtracted. The circuit cannot
     tell constant-0 from constant-1 (the ancilla phase is global), so
-    any constant function is reported as CONSTANT0.
+    any constant function is reported as CONSTANT0. ``epsilon`` must lie
+    in (0, 1]; :func:`thermal_epsilon` gives it under the thermal model.
 
     ``tolerance`` is the detection-noise floor sigma. A signal of at most
     2 sigma cannot be told from noise, so when eps <= 2 sigma the verdict
     is UNDECIDED; otherwise it is CONSTANT0 above eps/2 and BALANCED below.
     """
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError("epsilon must lie in (0, 1]")
     ensure_capacity(system.n_spins, "dense", max_spins)
     oracle = reversible_oracle(system, table)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    epsilon = config.resolve_epsilon(system.n_spins)
     state = zeeman_product_state(system, "0" * system.n_spins)
 
     hadamards = {spin: _HADAMARD for spin in system.inputs}

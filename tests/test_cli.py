@@ -2,7 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import math
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -25,6 +27,15 @@ def assert_usage_error(capsys, flag, *argv):
     assert out == ""
     assert err.startswith("usage error: ") and flag in err
     assert err.count("\n") == 1
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def strip_wall_times(report):
@@ -541,6 +552,44 @@ class TestFlagRules:
         assert "--epsilon" in err and "--thermal-p" in err
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--tolerance", "-1e-6"), ("--tolerance", "-.5"),
+                        ("--epsilon", "-1e-3"), ("--thermal-p", "-2e-5")],
+    )
+    def test_negative_exponent_form_gets_the_flags_rule(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "run", "--n", "2", "--oracle", "constant0", flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"usage error: argument {flag}: must be ")
+        assert err.endswith(f", got '{value}'\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--thermal-p", ("sweep", "--n", "1..3", "--seed", "1", "--thermal-p", "5e-324")),
+            ("--thermal-p", ("run", "--n", "3", "--oracle", "constant0", "--thermal-p", "5e-324")),
+            ("--epsilon", ("sweep", "--n", "1..2", "--seed", "1", "--epsilon", "1e-320")),
+            # ahead of the capacity error n = 40 would give
+            ("--epsilon", ("run", "--n", "40", "--oracle", "constant0", "--epsilon", "1e-320")),
+            # 2^2001 has no float: epsilon(N) underflows to 0
+            ("--thermal-p", ("run", "--n", "2000", "--oracle", "constant0", "--thermal-p", "1e-5")),
+        ],
+    )
+    def test_epsilon_below_the_smallest_normal_float_is_a_usage_error(self, capsys, flag, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"usage error: argument {flag}: epsilon = ")
+        assert "smallest normal float" in err and err.count("\n") == 1
+
+    def test_smallest_normal_epsilon_keeps_the_ratio_finite(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--n", "1..2", "--seed", "1", "--epsilon", repr(sys.float_info.min)
+        )
+        assert code == 0
+        ratios = [row["ratio"] for row in strict_json(out)["aggregates"]]
+        assert all(math.isfinite(r) and r > 1e307 for r in ratios)
+
 
 class TestCapacityBeforeWork:
     def test_memory_exhaustion_is_a_capacity_error(self, capsys, monkeypatch):
@@ -628,15 +677,17 @@ def _values(valid, invalid):
     return st.one_of(valid, st.sampled_from(invalid))
 
 
-BAD_NUMBERS = ["0", "-1", "nan", "inf", str(2**64), "abc", "6..2"]
+BAD_NUMBERS = ["0", "-1", "-1e-6", "nan", "inf", str(2**64), "abc", "6..2"]
+# Past (0, 1], or in it but giving an epsilon below the smallest normal float.
+BAD_PREFACTORS = BAD_NUMBERS + ["2", "5e-324", "1e-320"]
 SMALL_N = st.integers(1, 6).map(str)
 OVER_CAPACITY_N = st.sampled_from(["30", "40"])
 # Valid --max-spins values stay at or below 9 spins, so no example that
 # passes the capacity check holds more than a 512 x 512 dense state.
 FLAG_VALUES = {
     "--seed": _values(st.integers(0, 2**64 - 1).map(str), ["-1", str(2**64), "nan", "abc"]),
-    "--epsilon": _values(st.sampled_from(["0.25", "1", "1e-5"]), BAD_NUMBERS + ["2"]),
-    "--thermal-p": _values(st.sampled_from(["0.25", "1", "1e-5"]), BAD_NUMBERS + ["2"]),
+    "--epsilon": _values(st.sampled_from(["0.25", "1", "1e-5"]), BAD_PREFACTORS),
+    "--thermal-p": _values(st.sampled_from(["0.25", "1", "1e-5"]), BAD_PREFACTORS),
     "--tolerance": _values(st.sampled_from(["1e-6", "0.1"]), BAD_NUMBERS),
     "--detection": st.sampled_from(["ancilla", "separate", "both"]),
     "--format": st.sampled_from(["json", "csv", "xml"]),
@@ -726,6 +777,6 @@ def test_every_argv_ends_in_a_documented_exit(table_dir):
             columns = cli.RUN_CSV_COLUMNS if argv[0] == "run" else cli.SWEEP_CSV_COLUMNS
             assert tuple(header) == columns
         else:
-            assert json.loads(report)["version"] == "v1"
+            assert strict_json(report)["version"] == "v1"
 
     check()

@@ -30,14 +30,12 @@ from spindj.oracle import (
 )
 from spindj.protocol import (
     Outcome,
-    PseudoPureConfig,
     Verdict,
     classical_dj,
     classify_signal,
     prepare_liouville_input,
     prepare_liouville_input_pulsed,
     pseudo_pure_matrix,
-    pseudo_pure_state,
     run_liouville_dj,
     run_pseudo_pure_dj,
     thermal_epsilon,
@@ -213,36 +211,27 @@ class TestPseudoPure:
     def test_half_epsilon_single_spin(self):
         assert_allclose(pseudo_pure_matrix(1, 0.5).matrix, np.diag([0.75, 0.25]))
 
-    def test_state_uses_full_register(self):
-        system = SpinSystem(2, has_detection_spin=True)
-        state = pseudo_pure_state(system, PseudoPureConfig(epsilon=0.5))
-        assert state.dim == system.dim
-        assert abs(state.trace - 1.0) < 1e-12
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PseudoPureConfig()
-        with pytest.raises(ValueError):
-            PseudoPureConfig(epsilon=0.5, thermal_p=0.5)
-        with pytest.raises(ValueError):
-            PseudoPureConfig(epsilon=1.5)
-        with pytest.raises(ValueError):
-            PseudoPureConfig(thermal_p=0.0)
+    def test_epsilon_must_lie_in_the_unit_interval(self):
+        system, table = SpinSystem(2, has_detection_spin=True), TruthTable.constant(2, 0)
+        for epsilon in (0.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                run_pseudo_pure_dj(system, table, epsilon)
+        for epsilon in (1.0, 1e-300):
+            assert run_pseudo_pure_dj(system, table, epsilon).signal > 0
 
     def test_pure_state_circuit_decides(self):
         system = SpinSystem(2)
-        cfg = PseudoPureConfig(epsilon=1.0)
-        const = run_pseudo_pure_dj(system, TruthTable.constant(2, 0), cfg)
+        const = run_pseudo_pure_dj(system, TruthTable.constant(2, 0), 1.0)
         assert abs(const.signal - 1.0) < 1e-12
         assert const.verdict is Verdict.CONSTANT0
-        balanced = run_pseudo_pure_dj(system, TruthTable.from_string("0110"), cfg)
+        balanced = run_pseudo_pure_dj(system, TruthTable.from_string("0110"), 1.0)
         assert abs(balanced.signal) < 1e-12
         assert balanced.verdict is Verdict.BALANCED
 
     def test_signal_scales_with_epsilon(self):
         system = SpinSystem(2)
-        out = run_pseudo_pure_dj(system, TruthTable.constant(2, 1), PseudoPureConfig(epsilon=0.25))
-        reference = run_pseudo_pure_dj(system, TruthTable.constant(2, 1), PseudoPureConfig(epsilon=1.0))
+        out = run_pseudo_pure_dj(system, TruthTable.constant(2, 1), 0.25)
+        reference = run_pseudo_pure_dj(system, TruthTable.constant(2, 1), 1.0)
         assert abs(out.signal - 0.25 * reference.signal) < 1e-10
 
     def test_linearity_over_random_tables_and_epsilons(self):
@@ -252,13 +241,13 @@ class TestPseudoPure:
             table = random_table(n, int(rng.integers(2**32)))
             eps = float(rng.uniform(0.01, 1.0))
             system = SpinSystem(n)
-            at_eps = run_pseudo_pure_dj(system, table, PseudoPureConfig(epsilon=eps))
-            at_one = run_pseudo_pure_dj(system, table, PseudoPureConfig(epsilon=1.0))
+            at_eps = run_pseudo_pure_dj(system, table, eps)
+            at_one = run_pseudo_pure_dj(system, table, 1.0)
             assert abs(at_eps.signal - eps * at_one.signal) < 1e-10
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
-            run_pseudo_pure_dj(SpinSystem(2), TruthTable.constant(3, 0), PseudoPureConfig(epsilon=1.0))
+            run_pseudo_pure_dj(SpinSystem(2), TruthTable.constant(3, 0), 1.0)
 
     @settings(deadline=None)
     @given(
@@ -266,26 +255,24 @@ class TestPseudoPure:
         seed=st.integers(0, 2**64 - 1),
         make=st.sampled_from([random_table, random_balanced, random_constant]),
         separate=st.booleans(),
-        config=st.one_of(
-            st.builds(PseudoPureConfig, epsilon=st.floats(1e-300, 1.0)),
-            st.builds(PseudoPureConfig, thermal_p=st.floats(1e-300, 1.0)),
-        ),
+        value=st.floats(1e-300, 1.0),
+        thermal=st.booleans(),
     )
     def test_signal_is_epsilon_times_the_squared_liouville_signal(
-        self, n, seed, make, separate, config
+        self, n, seed, make, separate, value, thermal
     ):
+        # eps is drawn directly, or as epsilon(N) from a drawn polarization p.
         system = SpinSystem(n, has_detection_spin=separate)
         table = make(n, seed)
         s = run_liouville_dj(system, table).signal
-        epsilon = config.resolve_epsilon(system.n_spins)
+        epsilon = thermal_epsilon(system.n_spins, value) if thermal else value
         want = epsilon * s**2
-        got = run_pseudo_pure_dj(system, table, config).signal
+        got = run_pseudo_pure_dj(system, table, epsilon).signal
         # Relative to eps * s^2, or to eps itself where s = 0 (balanced).
         assert abs(got - want) <= 1e-12 * (want or epsilon)
 
     def test_tiny_epsilon_keeps_a_positive_signal(self):
-        config = PseudoPureConfig(epsilon=1e-300)
-        out = run_pseudo_pure_dj(SpinSystem(2), TruthTable.constant(2, 0), config)
+        out = run_pseudo_pure_dj(SpinSystem(2), TruthTable.constant(2, 0), 1e-300)
         assert out.signal > 0
         assert abs(out.signal - 1e-300) <= 1e-12 * 1e-300
 
@@ -296,13 +283,12 @@ class TestPseudoPure:
             system = SpinSystem(n, has_detection_spin=separate)
             for make in (random_table, random_balanced, random_constant):
                 table = make(n, int(rng.integers(2**32)))
-                for config in (
-                    PseudoPureConfig(epsilon=float(rng.uniform(0.01, 1.0))),
-                    PseudoPureConfig(thermal_p=1e-5),
+                for epsilon in (
+                    float(rng.uniform(0.01, 1.0)),
+                    thermal_epsilon(system.n_spins, 1e-5),
                 ):
-                    epsilon = config.resolve_epsilon(system.n_spins)
                     reference = projector_readout(system, table, epsilon, conjugate)
-                    signal = run_pseudo_pure_dj(system, table, config).signal
+                    signal = run_pseudo_pure_dj(system, table, epsilon).signal
                     assert abs(signal - reference) < 1e-12
 
     @pytest.mark.parametrize("separate", [False, True])
@@ -327,10 +313,9 @@ class TestPseudoPure:
         for n in range(1, 6 - separate):
             system = SpinSystem(n, has_detection_spin=separate)
             table = make(n, 97 + n)
-            for config in (PseudoPureConfig(epsilon=0.3), PseudoPureConfig(thermal_p=1e-5)):
-                epsilon = config.resolve_epsilon(system.n_spins)
+            for epsilon in (0.3, thermal_epsilon(system.n_spins, 1e-5)):
                 reference = projector_readout(system, table, epsilon, complex_conjugate)
-                assert abs(run_pseudo_pure_dj(system, table, config).signal - reference) < 1e-12
+                assert abs(run_pseudo_pure_dj(system, table, epsilon).signal - reference) < 1e-12
 
     def test_verdict_is_undecided_at_or_below_twice_the_noise_floor(self):
         system = SpinSystem(2)
@@ -338,15 +323,12 @@ class TestPseudoPure:
         for table in (constant, balanced):
             # eps = 1e-3 against sigma = 5e-4 (eps = 2 sigma) and 1e-3
             for sigma in (5e-4, 1e-3):
-                out = run_pseudo_pure_dj(
-                    system, table, PseudoPureConfig(epsilon=1e-3), tolerance=sigma
-                )
+                out = run_pseudo_pure_dj(system, table, 1e-3, tolerance=sigma)
                 assert out.verdict is Verdict.UNDECIDED
-        decided = PseudoPureConfig(epsilon=1e-3)
-        assert run_pseudo_pure_dj(system, constant, decided, tolerance=4e-4).verdict is (
+        assert run_pseudo_pure_dj(system, constant, 1e-3, tolerance=4e-4).verdict is (
             Verdict.CONSTANT0
         )
-        assert run_pseudo_pure_dj(system, balanced, decided, tolerance=4e-4).verdict is (
+        assert run_pseudo_pure_dj(system, balanced, 1e-3, tolerance=4e-4).verdict is (
             Verdict.BALANCED
         )
 
@@ -354,17 +336,14 @@ class TestPseudoPure:
         # One 1 in four entries: s = 1/2, so the signal eps * s^2 = eps/4 lies
         # below the eps/2 split.
         system = SpinSystem(2)
-        out = run_pseudo_pure_dj(
-            system, TruthTable.from_string("0001"), PseudoPureConfig(epsilon=1.0)
-        )
+        out = run_pseudo_pure_dj(system, TruthTable.from_string("0001"), 1.0)
         assert abs(out.signal - 0.25) < 1e-12
         assert out.verdict is Verdict.BALANCED
 
     def test_rejects_nonpositive_noise_floor(self):
         with pytest.raises(ValueError):
             run_pseudo_pure_dj(
-                SpinSystem(1), TruthTable.constant(1, 0), PseudoPureConfig(epsilon=1.0),
-                tolerance=0.0,
+                SpinSystem(1), TruthTable.constant(1, 0), 1.0, tolerance=0.0
             )
 
 
@@ -402,6 +381,10 @@ class TestThermalEpsilon:
     def test_strictly_decreasing_from_two_spins(self):
         for n in range(2, 12):
             assert thermal_epsilon(n + 1, 1e-3) < thermal_epsilon(n, 1e-3)
+
+    def test_underflows_to_zero_where_two_to_the_n_has_no_float(self):
+        assert thermal_epsilon(1100, 1e-5) == 0.0
+        assert thermal_epsilon(1100, 1.0) == 0.0
 
     def test_rejects_bad_polarization(self):
         with pytest.raises(ValueError):
