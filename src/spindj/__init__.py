@@ -46,7 +46,7 @@ from .protocol import (
     run_pseudo_pure_dj,
     thermal_epsilon,
 )
-from .pulses import PulseSpec, crusher, fanout_unitary, inversion_unitary, rotation_unitary
+from .pulses import crusher, fanout_unitary, inversion_unitary, rotation_unitary
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "Operator",
     "OracleClass",
     "Outcome",
-    "PulseSpec",
     "SpinSystem",
     "TruthTable",
     "TruthTableError",

@@ -31,6 +31,7 @@ from .oracle import (
     random_table,
     read_data_line,
     reversible_oracle,
+    table_arity,
 )
 from .protocol import (
     DEFAULT_SIGNAL_TOL,
@@ -204,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_table(cfg: ExperimentConfig) -> TruthTable:
     """Build or load the table; :func:`_ensure_fits` runs before a
-    generated table is allocated and before a file's data line is parsed."""
+    generated table is allocated, and a file's --n and capacity are
+    checked from its data line's length before the line is parsed."""
     source, n, seed = cfg.oracle, cfg.n, cfg.seed
     if source in _GENERATED_SOURCES:
         if n is None:
@@ -221,14 +223,11 @@ def _resolve_table(cfg: ExperimentConfig) -> TruthTable:
         return random_table(n, seed)
     path = source[5:] if source.startswith("file:") else source
     line = read_data_line(path)
-    arity = len(line).bit_length() - 1
-    # Other lengths fail in from_string; a mismatched --n is reported once the table parses.
-    if arity >= 1 and len(line) == 1 << arity and n in (None, arity):
-        _ensure_fits(cfg, arity)
-    table = TruthTable.from_string(line)
-    if n is not None and table.n != n:
-        raise UsageError(f"--n {n} does not match table arity {table.n} from {path}")
-    return table
+    arity = table_arity(len(line))
+    if n is not None and arity != n:
+        raise UsageError(f"--n {n} does not match table arity {arity} from {path}")
+    _ensure_fits(cfg, arity)
+    return TruthTable.from_string(line)
 
 
 def _ensure_fits(cfg: ExperimentConfig, n: int) -> None:
@@ -364,13 +363,9 @@ def cmd_oracle(cfg: ExperimentConfig) -> str:
         )
     system = cfg.system(table.n)
     if table.n <= 4:
-        permutation = reversible_oracle(system, table)
         lines.append(f"reversible oracle on {system.dim} basis states (I0 first):")
-        for index in range(system.dim):
-            lines.append(
-                f"  |{system.basis_label(index)}> -> "
-                f"|{system.basis_label(permutation(index))}>"
-            )
+        for index, image in enumerate(reversible_oracle(system, table).mapping):
+            lines.append(f"  |{system.basis_label(index)}> -> |{system.basis_label(image)}>")
     else:
         lines.append("(permutation listing skipped for n > 4)")
     return "\n".join(lines) + "\n"

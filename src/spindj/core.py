@@ -206,9 +206,6 @@ class BasisPermutation:
         flip = self.control.astype(np.int64) << (n_spins - 1 - self.target)
         return (indices ^ flip).reshape(-1)
 
-    def __call__(self, index: int) -> int:
-        return int(self.mapping[index])
-
     def to_operator(self) -> Operator:
         matrix = np.zeros((self.dim, self.dim), dtype=complex)
         matrix[self.mapping, np.arange(self.dim)] = 1.0

@@ -36,6 +36,13 @@ class OracleClass(enum.Enum):
     NEITHER = "neither"
 
 
+def table_arity(length: int) -> int:
+    """The arity n of a table of ``length`` = 2^n entries, n >= 1."""
+    if length < 2 or length & (length - 1):
+        raise TruthTableError(f"truth table length must be a power of two >= 2, got {length}")
+    return length.bit_length() - 1
+
+
 class TruthTable:
     """f: {0,1}^n -> {0,1} as a bit vector of length 2^n.
 
@@ -46,16 +53,18 @@ class TruthTable:
     __slots__ = ("n", "bits")
 
     def __init__(self, bits):
-        bits = np.asarray(bits, dtype=np.uint8)
-        size = bits.shape[0]
-        if bits.ndim != 1 or size < 2 or size & (size - 1):
+        array = np.asarray(bits)
+        if array.ndim != 1:
+            raise TruthTableError(f"truth table must be a vector, got {array.ndim} dimensions")
+        self.n = table_arity(array.shape[0])
+        # Compare before casting: a cast would read 0.7 as 0, and 256 too.
+        wrong = array > 1 if array.dtype == np.uint8 else (array != 0) & (array != 1)
+        if wrong.any():
+            bad = int(np.flatnonzero(wrong)[0])
             raise TruthTableError(
-                f"truth table length must be a power of two >= 2, got {size}"
+                f"truth table entries must be 0 or 1, got {array.item(bad)!r} at position {bad}"
             )
-        if np.any(bits > 1):
-            raise TruthTableError("truth table entries must be 0 or 1")
-        self.bits = bits
-        self.n = size.bit_length() - 1
+        self.bits = array.astype(np.uint8, copy=False)
 
     @classmethod
     def from_string(cls, text: str) -> "TruthTable":

@@ -36,7 +36,7 @@ from .core import (
     zeeman_product_state,
 )
 from .oracle import OracleClass, TruthTable, classify, oracle_channel, reversible_oracle
-from .pulses import PulseSpec, crusher, fanout_unitary, rotation_unitary
+from .pulses import crusher, fanout_unitary, rotation_unitary
 
 DEFAULT_SIGNAL_TOL = 1e-6
 
@@ -104,15 +104,13 @@ def prepare_liouville_input_pulsed(system: SpinSystem) -> DiagonalState:
     precision; kept separate because it needs a dense intermediate.
     """
     equilibrium = zeeman_product_state(system, "0" * system.n_spins)
-    pulse = rotation_unitary(
-        system, PulseSpec(axis="x", angle=np.pi / 2.0, targets=system.inputs)
-    )
+    pulse = rotation_unitary(system, "x", np.pi / 2.0, system.inputs)
     return crusher(conjugate(equilibrium, pulse))
 
 
 def classify_signal(signal: float, tol: float = DEFAULT_SIGNAL_TOL) -> Verdict:
     """Positive signal -> constant 0, negative -> constant 1, silence -> balanced."""
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tolerance must be positive")
     if signal > tol:
         return Verdict.CONSTANT0
@@ -146,6 +144,8 @@ def run_liouville_dj(
     inversion pulse that would flip a negative constant signal is left
     out; sign handling lives in :func:`classify_signal`.
     """
+    if not tolerance > 0:  # NaN too
+        raise ValueError("tolerance must be positive")
     ensure_capacity(system.n_spins, backend, max_spins)
     oracle = reversible_oracle(system, table)
 
@@ -209,7 +209,7 @@ def run_pseudo_pure_dj(
         raise ValueError("epsilon must lie in (0, 1]")
     ensure_capacity(system.n_spins, "dense", max_spins)
     oracle = reversible_oracle(system, table)
-    if tolerance <= 0:
+    if not tolerance > 0:  # NaN too
         raise ValueError("tolerance must be positive")
     state = zeeman_product_state(system, "0" * system.n_spins)
 

@@ -12,7 +12,7 @@ information here, so nothing is lost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,38 +28,25 @@ from .core import (
 _AXES = ("x", "y")
 
 
-@dataclass(frozen=True)
-class PulseSpec:
-    """A hard rotation pulse: axis, flip angle in radians, target spins."""
-
-    axis: str
-    angle: float
-    targets: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(self.targets))
-        if self.axis not in _AXES:
-            raise ValueError(f"pulse axis must be one of {_AXES}, got {self.axis!r}")
-        if not math.isfinite(self.angle):
-            raise ValueError("pulse angle must be finite")
-        if not self.targets:
-            raise ValueError("pulse needs at least one target spin")
-
-
-def _single_spin_rotation(axis: str, angle: float) -> np.ndarray:
-    # exp(-i * angle * I_axis) with I_axis = sigma_axis / 2
+def rotation_unitary(
+    system: SpinSystem, axis: str, angle: float, targets: Sequence[int]
+) -> Operator:
+    """Hard pulse exp(-i * angle * I_axis), I_axis = sigma_axis / 2, on each
+    target spin and the identity elsewhere; ``axis`` is "x" or "y" and
+    ``angle`` the flip angle in radians."""
+    if axis not in _AXES:
+        raise ValueError(f"pulse axis must be one of {_AXES}, got {axis!r}")
+    if not math.isfinite(angle):
+        raise ValueError("pulse angle must be finite")
+    if not targets:
+        raise ValueError("pulse needs at least one target spin")
     c = math.cos(angle / 2.0)
     s = math.sin(angle / 2.0)
     if axis == "x":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def rotation_unitary(system: SpinSystem, spec: PulseSpec) -> Operator:
-    """Tensor product of single-spin rotations on the targets, identity elsewhere."""
-    block = _single_spin_rotation(spec.axis, spec.angle)
-    matrix = embed(system, {spin: block for spin in spec.targets})
-    return Operator(matrix, unitary=True)
+        block = np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    else:
+        block = np.array([[c, -s], [s, c]], dtype=complex)
+    return Operator(embed(system, {spin: block for spin in targets}), unitary=True)
 
 
 def crusher(state: DensityOperator) -> DiagonalState:

@@ -37,7 +37,7 @@ from spindj.protocol import (
     prepare_liouville_input,
     run_liouville_dj,
 )
-from spindj.pulses import PulseSpec, fanout_unitary, inversion_unitary, rotation_unitary
+from spindj.pulses import fanout_unitary, inversion_unitary, rotation_unitary
 
 
 def report(name, passed):
@@ -219,12 +219,13 @@ def test_criterion_7_structural_invariants():
     # generated operators satisfy their kind invariants
     for _ in range(25):
         system = SpinSystem(int(rng.integers(1, 4)))
-        spec = PulseSpec(
-            axis=("x", "y")[int(rng.integers(2))],
-            angle=float(rng.uniform(-8, 8)),
-            targets=(int(rng.integers(system.n_spins)),),
+        pulse = rotation_unitary(
+            system,
+            ("x", "y")[int(rng.integers(2))],
+            float(rng.uniform(-8, 8)),
+            (int(rng.integers(system.n_spins)),),
         )
-        ok = ok and is_unitary_matrix(rotation_unitary(system, spec).matrix)
+        ok = ok and is_unitary_matrix(pulse.matrix)
     system = SpinSystem(2, has_detection_spin=True)
     for perm in (
         fanout_unitary(system, 0, 3),

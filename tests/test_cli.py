@@ -643,6 +643,23 @@ class TestCapacityBeforeWork:
         assert err.startswith("capacity error: 23 spins") and err.count("\n") == 1
         assert peak < 10 << 20
 
+    @pytest.mark.parametrize("first", ["0", "x"])
+    def test_table_file_arity_mismatch_comes_from_its_line_length(self, capsys, tmp_path, first):
+        # A mismatched --n is a usage error, reported before the line is
+        # parsed and so before its characters are checked.
+        path = tmp_path / "huge.tt"
+        path.write_text(first + "1" * ((1 << 22) - 1) + "\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "run", "--oracle", str(path), "--n", "3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: --n 3 does not match table arity 22 from {path}\n"
+        assert peak < 10 << 20
+
 
 # -- every argv ends in a documented exit code --------------------------------
 
@@ -682,6 +699,24 @@ BAD_NUMBERS = ["0", "-1", "-1e-6", "nan", "inf", str(2**64), "abc", "6..2"]
 BAD_PREFACTORS = BAD_NUMBERS + ["2", "5e-324", "1e-320"]
 SMALL_N = st.integers(1, 6).map(str)
 OVER_CAPACITY_N = st.sampled_from(["30", "40"])
+# What each flag's own rule refuses, at parse time (REFUSED) or once the
+# run works out epsilon(N) (REFUSED_LATER: below the smallest normal float).
+# A complete, valid argv with one value swapped for one of these must exit
+# 1 naming that flag.
+NOT_NUMBERS = ["-1", "-1e-6", "nan", "inf", "abc", "6..2"]
+REFUSED = {
+    "--n": NOT_NUMBERS + ["0"],
+    "--seed": NOT_NUMBERS + [str(2**64)],
+    "--epsilon": NOT_NUMBERS + ["0", "2"],
+    "--thermal-p": NOT_NUMBERS + ["0", "2"],
+    "--tolerance": NOT_NUMBERS + ["0"],
+    "--detection": ["both"],
+    "--format": ["xml"],
+    "--max-spins": NOT_NUMBERS + ["0"],
+    "--trials": NOT_NUMBERS,
+    "--backend": ["gpu"],
+}
+REFUSED_LATER = {"--epsilon": ["5e-324", "1e-320"], "--thermal-p": ["5e-324", "1e-320"]}
 # Valid --max-spins values stay at or below 9 spins, so no example that
 # passes the capacity check holds more than a 512 x 512 dense state.
 FLAG_VALUES = {
@@ -692,7 +727,18 @@ FLAG_VALUES = {
     "--detection": st.sampled_from(["ancilla", "separate", "both"]),
     "--format": st.sampled_from(["json", "csv", "xml"]),
     "--max-spins": _values(st.integers(1, 9).map(str), BAD_NUMBERS),
-    "--trials": _values(st.integers(0, 3).map(str), BAD_NUMBERS),
+    # Not BAD_NUMBERS: 0 trials is valid, and 2^64 is valid and never ends.
+    "--trials": _values(st.integers(0, 3).map(str), REFUSED["--trials"]),
+}
+VALID_VALUES = {
+    "--seed": st.integers(0, 2**64 - 1).map(str),
+    "--epsilon": st.sampled_from(["0.25", "1", "1e-5"]),
+    "--thermal-p": st.sampled_from(["0.25", "1", "1e-5"]),
+    "--tolerance": st.sampled_from(["1e-6", "0.1"]),
+    "--detection": st.sampled_from(["ancilla", "separate"]),
+    "--format": st.sampled_from(["json", "csv"]),
+    "--max-spins": st.integers(8, 9).map(str),  # 6 inputs, the ancilla and a detection spin
+    "--trials": st.integers(0, 3).map(str),
 }
 OPTIONAL_FLAGS = {
     "run": ["--seed", "--backend", "--detection", "--epsilon", "--thermal-p",
@@ -743,10 +789,58 @@ def cli_argv(draw, table_dir):
     return argv
 
 
+@st.composite
+def one_bad_value_argv(draw, table_dir):
+    """A complete, valid argv with exactly one value swapped for one its flag
+    refuses, and that flag."""
+    command = draw(st.sampled_from(["run", "sweep", "oracle"]))
+    refused = dict(REFUSED)
+    values = dict(VALID_VALUES)
+    values["--out"] = st.just(str(table_dir / "report.out"))
+    values["--backend"] = st.sampled_from(["dense", "diagonal", "both"])
+    if command == "sweep":
+        lo, hi = sorted(draw(st.lists(st.integers(1, 6), min_size=2, max_size=2)))
+        flags = {"--n": f"{lo}..{hi}", "--seed": draw(values["--seed"])}
+        refused["--n"] = refused["--n"] + ["1..", "..3", "0..3"]
+        refused["--backend"] = ["both", "gpu"]
+        values["--backend"] = st.sampled_from(["dense", "diagonal"])
+    else:
+        source = draw(
+            st.sampled_from(["constant0", "constant1", "balanced-random", "random", "good.tt"])
+        )
+        if source == "good.tt":
+            flags = {"--oracle": str(table_dir / source), "--n": "2"}
+        else:
+            flags = {"--oracle": source, "--n": draw(SMALL_N)}
+        if source.endswith("random") or draw(st.booleans()):
+            flags["--seed"] = draw(values["--seed"])
+    # The bad flag is drawn first, so each flag is as likely to carry it, and
+    # half the run and sweep examples get a value refused only after parsing.
+    if command != "oracle" and draw(st.booleans()):
+        refused = REFUSED_LATER
+    candidates = dict.fromkeys(["--n", "--seed", *OPTIONAL_FLAGS[command]])
+    bad = draw(st.sampled_from([flag for flag in candidates if flag in refused]))
+    flags[bad] = draw(st.sampled_from(refused[bad]))
+    optional = [flag for flag in OPTIONAL_FLAGS[command] if flag not in flags]
+    chosen = draw(st.lists(st.sampled_from(optional), unique=True)) if optional else []
+    pseudo_pure = {"--epsilon", "--thermal-p"}
+    for flag in chosen:
+        if flag in pseudo_pure and pseudo_pure & flags.keys():
+            continue  # the two flags exclude each other
+        flags[flag] = draw(values[flag])
+    groups = draw(st.permutations(list(flags.items())))
+    return [command] + [token for group in groups for token in group], bad
+
+
 def test_every_argv_ends_in_a_documented_exit(table_dir):
     @settings(deadline=None, max_examples=300)
-    @given(argv=cli_argv(table_dir))
-    def check(argv):
+    @given(
+        drawn=st.one_of(
+            cli_argv(table_dir).map(lambda argv: (argv, None)), one_bad_value_argv(table_dir)
+        )
+    )
+    def check(drawn):
+        argv, bad_flag = drawn
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
@@ -755,6 +849,8 @@ def test_every_argv_ends_in_a_documented_exit(table_dir):
         if lines and lines[0].startswith(MAX_SPINS_WARNING):
             assert int(argv[argv.index("--max-spins") + 1]) >= 1
             lines = lines[1:]
+        if bad_flag is not None:
+            assert code == 1
         if code != 0:
             assert code in ERROR_PREFIXES
             assert out.getvalue() == ""
@@ -764,6 +860,8 @@ def test_every_argv_ends_in_a_documented_exit(table_dir):
             assert len(message) > len(ERROR_PREFIXES[code])
             if code == 1:
                 assert re.search(r"--[a-z]", message)
+            if bad_flag is not None:
+                assert f"argument {bad_flag}:" in message
             return
         assert lines == []
         if "--out" in argv:

@@ -31,7 +31,6 @@ from spindj.core import (
 )
 from spindj.oracle import TruthTable, reversible_oracle
 from spindj.pulses import (
-    PulseSpec,
     crusher,
     fanout_unitary,
     inversion_unitary,
@@ -386,9 +385,7 @@ class TestRealConjugation:
         for n_inputs in (1, 2, 3):
             system = SpinSystem(n_inputs)
             rho = zeeman_product_state(system, "0" * system.n_spins)
-            pulse = rotation_unitary(
-                system, PulseSpec(axis="x", angle=np.pi / 2.0, targets=system.inputs)
-            )
+            pulse = rotation_unitary(system, "x", np.pi / 2.0, system.inputs)
             assert pulse.matrix.imag.any()
             out = conjugate(rho, pulse)
             assert out.matrix.imag.any()

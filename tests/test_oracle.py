@@ -41,10 +41,17 @@ class TestTruthTable:
             TruthTable([0, 1, 0])
         with pytest.raises(TruthTableError):
             TruthTable([0])
+        with pytest.raises(TruthTableError, match="vector"):
+            TruthTable(5)
 
     def test_rejects_bad_values(self):
         with pytest.raises(TruthTableError):
             TruthTable([0, 2])
+        # Entries are compared before the cast, which would read them as 0 and 0/1.
+        with pytest.raises(TruthTableError, match="got 0.7 at position 0"):
+            TruthTable([0.7, 0.2])
+        with pytest.raises(TruthTableError, match="got 0.5 at position 0"):
+            TruthTable([0.5, 1.0])
         with pytest.raises(TruthTableError):
             TruthTable.from_string("01x1")
 
@@ -89,10 +96,10 @@ class TestReversibleOracle:
 
     def test_constant1_flips_only_the_ancilla_bit(self):
         system = SpinSystem(2)
-        oracle = reversible_oracle(system, TruthTable.constant(2, 1))
+        mapping = reversible_oracle(system, TruthTable.constant(2, 1)).mapping
         ancilla_bit = 1 << system.bit_position(system.ancilla)
         for index in range(system.dim):
-            assert oracle(index) == index ^ ancilla_bit
+            assert mapping[index] == index ^ ancilla_bit
 
     def test_passthrough_single_input(self):
         # enumerate |y, x> -> |y ^ x, x> by hand: {0:0, 1:3, 2:2, 3:1}
@@ -102,8 +109,8 @@ class TestReversibleOracle:
                 by_hand[(y << 1) | x] = ((y ^ x) << 1) | x
         assert by_hand == {0: 0, 1: 3, 2: 2, 3: 1}
 
-        oracle = reversible_oracle(SpinSystem(1), TruthTable.from_string("01"))
-        assert {i: oracle(i) for i in range(4)} == by_hand
+        mapping = reversible_oracle(SpinSystem(1), TruthTable.from_string("01")).mapping
+        assert {i: mapping[i] for i in range(4)} == by_hand
 
     def test_rejects_arity_mismatch(self):
         with pytest.raises(ValueError):
@@ -122,18 +129,18 @@ class TestReversibleOracle:
     def test_writes_function_value_to_cleared_ancilla(self, n):
         system = SpinSystem(n)
         for table in all_tables(n):
-            oracle = reversible_oracle(system, table)
+            mapping = reversible_oracle(system, table).mapping
             for x in range(1 << n):
-                got = oracle(system.basis_index("0" + format(x, f"0{n}b")))
+                got = mapping[system.basis_index("0" + format(x, f"0{n}b"))]
                 want = system.basis_index(str(table(x)) + format(x, f"0{n}b"))
                 assert got == want
 
     def test_leaves_detection_spin_alone(self):
         system = SpinSystem(2, has_detection_spin=True)
-        oracle = reversible_oracle(system, TruthTable.from_string("0110"))
+        mapping = reversible_oracle(system, TruthTable.from_string("0110")).mapping
         detection_bit = 1 << system.bit_position(system.detection)
         for index in range(system.dim):
-            assert oracle(index) & detection_bit == index & detection_bit
+            assert mapping[index] & detection_bit == index & detection_bit
 
 
 class TestOracleChannel:

@@ -1,4 +1,8 @@
+import contextlib
+import io
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +98,8 @@ class TestClassifySignal:
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
             classify_signal(0.1, tol=0.0)
+        with pytest.raises(ValueError):
+            classify_signal(0.1, tol=float("nan"))
 
 
 class TestLiouvilleRun:
@@ -130,6 +136,15 @@ class TestLiouvilleRun:
         out = run_liouville_dj(SpinSystem(3), random_balanced(3, 5))
         assert len(calls) == 1
         assert out.evaluations == 1
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_tolerance_before_building_a_state(self, monkeypatch, tolerance):
+        def refuse(system):
+            raise AssertionError("state prepared before the tolerance was checked")
+
+        monkeypatch.setattr(protocol, "prepare_liouville_input", refuse)
+        with pytest.raises(ValueError, match="tolerance"):
+            run_liouville_dj(SpinSystem(3), TruthTable.constant(3, 0), tolerance=tolerance)
 
     @pytest.mark.parametrize("backend", ["dense", "diagonal"])
     @pytest.mark.parametrize("separate", [False, True])
@@ -341,10 +356,11 @@ class TestPseudoPure:
         assert out.verdict is Verdict.BALANCED
 
     def test_rejects_nonpositive_noise_floor(self):
-        with pytest.raises(ValueError):
-            run_pseudo_pure_dj(
-                SpinSystem(1), TruthTable.constant(1, 0), 1.0, tolerance=0.0
-            )
+        for sigma in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                run_pseudo_pure_dj(
+                    SpinSystem(1), TruthTable.constant(1, 0), 1.0, tolerance=sigma
+                )
 
 
 def projector_readout(system, table, epsilon, apply):
@@ -471,3 +487,16 @@ class TestOutcome:
         out = Outcome(1.0, Verdict.CONSTANT0, 1, "diagonal")
         with pytest.raises(AttributeError):
             out.signal = 0.0
+
+
+def test_readme_library_example_prints_what_it_says():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(block, {})
+    liouville, pseudo_pure, classical = printed.getvalue().splitlines()
+    assert liouville == "0.0 Verdict.BALANCED 1"
+    epsilon = 9 * 1e-5 / 2**9  # thermal epsilon(N) = N*p/2^N on 9 spins, about 1.758e-7
+    assert abs(float(pseudo_pure) - epsilon) <= 1e-12 * epsilon
+    assert classical == "129"
