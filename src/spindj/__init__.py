@@ -14,6 +14,7 @@ from .core import (
     DiagonalState,
     Operator,
     SpinSystem,
+    StateVector,
     conjugate,
     expectation,
     maximally_mixed,
@@ -59,6 +60,7 @@ __all__ = [
     "OracleClass",
     "Outcome",
     "SpinSystem",
+    "StateVector",
     "TruthTable",
     "TruthTableError",
     "Verdict",

@@ -1,9 +1,9 @@
 """State and operator algebra for registers of spin-1/2 nuclei.
 
-Two state backends cover the protocol's needs: a dense complex density
-matrix over the ``2**N`` Zeeman product basis, and a real population
-vector for states that are diagonal in that basis (the common case here,
-since the gradient crusher removes all coherences).
+Three state types cover the protocol's needs over the ``2**N`` Zeeman
+product basis: a dense complex density matrix, a real population vector
+for states diagonal in that basis (the common case, since the gradient
+crusher removes all coherences), and the amplitude vector of a pure state.
 
 Basis ordering is fixed once and for all: the ancilla spin I0 is the most
 significant bit, the input spins I1..In follow in order, and a separate
@@ -292,6 +292,25 @@ class DiagonalState:
         return f"DiagonalState(dim={self.dim}, trace={self.trace:.6g})"
 
 
+class StateVector:
+    """Pure state ``|psi><psi|`` as its amplitude vector ``psi``; a unitary maps it to ``U psi``."""
+
+    __slots__ = ("amplitudes",)
+
+    def __init__(self, amplitudes):
+        self.amplitudes = np.asarray(amplitudes, dtype=complex)
+        if self.amplitudes.ndim != 1:
+            raise ValueError("amplitudes must be a vector")
+
+    @property
+    def dim(self) -> int:
+        return self.amplitudes.shape[0]
+
+    @property
+    def populations(self) -> np.ndarray:  # |psi|^2, the diagonal of |psi><psi|
+        return self.amplitudes.real**2 + self.amplitudes.imag**2
+
+
 def embed(system: SpinSystem, gates: dict[int, np.ndarray]) -> np.ndarray:
     """Kronecker product with single-spin blocks on selected spins.
 
@@ -358,14 +377,20 @@ def expectation(state: DensityOperator | DiagonalState, observable: Operator) ->
     return value.real
 
 
+def _masked_swap(values: np.ndarray, transform: BasisPermutation) -> np.ndarray:
+    """An XOR map on a vector over the basis: a masked swap along the target axis."""
+    spins = values.reshape((2,) * transform.control.ndim)  # np.flip below is a view
+    return np.where(transform.control, np.flip(spins, transform.target), spins).reshape(-1)
+
+
 def conjugate(state, transform):
     """Map ``rho -> U rho U^†``, staying on the state's backend.
 
-    ``transform`` is a :class:`BasisPermutation` or, on dense states
-    only, a unitary :class:`Operator`. When neither the operator nor the
-    state has a nonzero imaginary part the product runs in real
-    arithmetic; the result is complex either way. The input state is
-    never modified.
+    ``transform`` is a :class:`BasisPermutation` or, on dense states and
+    state vectors only, a unitary :class:`Operator`. A state vector maps
+    as ``psi -> U psi``; an XOR map moves its amplitudes exactly as it
+    moves a diagonal state's populations. The input state is never
+    modified.
     """
     if not isinstance(transform, (BasisPermutation, Operator)):
         raise TypeError(f"cannot conjugate by {type(transform).__name__}")
@@ -374,10 +399,9 @@ def conjugate(state, transform):
 
     if isinstance(transform, BasisPermutation):
         if isinstance(state, DiagonalState):
-            # Masked swap along the target axis; np.flip is a view.
-            spins = state.populations.reshape((2,) * transform.control.ndim)
-            moved = np.where(transform.control, np.flip(spins, transform.target), spins)
-            return DiagonalState(moved.reshape(-1), check=False)
+            return DiagonalState(_masked_swap(state.populations, transform), check=False)
+        if isinstance(state, StateVector):
+            return StateVector(_masked_swap(state.amplitudes, transform))
         # (U rho U^†)[a, b] = rho[m^-1(a), m^-1(b)] for the map m, and an XOR
         # map is an involution (m^-1 = m), so the mapping is the gather index.
         mapping = transform.mapping
@@ -390,13 +414,10 @@ def conjugate(state, transform):
         )
     if not transform.unitary and not is_unitary_matrix(transform.matrix):
         raise ValueError("transform is not unitary within tolerance")
-    u, rho = transform.matrix, state.matrix
-    if u.imag.any() or rho.imag.any():
-        return DensityOperator(u @ rho @ u.conj().T, check=False)
-    # A real gate on a real state: U rho U^T in float64, a quarter of the
-    # complex flops (contiguous copies, so the product runs in BLAS).
-    u = np.ascontiguousarray(u.real)
-    return DensityOperator(u @ np.ascontiguousarray(rho.real) @ u.T, check=False)
+    u = transform.matrix
+    if isinstance(state, StateVector):
+        return StateVector(u @ state.amplitudes)
+    return DensityOperator(u @ state.matrix @ u.conj().T, check=False)
 
 
 def to_dense(state: DiagonalState) -> DensityOperator:

@@ -14,13 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    BasisPermutation,
-    DensityOperator,
-    DiagonalState,
-    SpinSystem,
-    conjugate,
-)
+from .core import BasisPermutation, SpinSystem, conjugate
 
 
 class TruthTableError(ValueError):
@@ -53,7 +47,10 @@ class TruthTable:
     __slots__ = ("n", "bits")
 
     def __init__(self, bits):
-        array = np.asarray(bits)
+        try:
+            array = np.asarray(bits)
+        except ValueError as exc:  # ragged nesting, e.g. [[0, 1], [1]]
+            raise TruthTableError(f"truth table must be a vector: {exc}") from None
         if array.ndim != 1:
             raise TruthTableError(f"truth table must be a vector, got {array.ndim} dimensions")
         self.n = table_arity(array.shape[0])
@@ -135,13 +132,12 @@ def reversible_oracle(system: SpinSystem, table: TruthTable) -> BasisPermutation
     return BasisPermutation(system.ancilla, table.bits.view(np.bool_).reshape(shape))
 
 
-def oracle_channel(
-    state: DensityOperator | DiagonalState, oracle: BasisPermutation
-) -> DensityOperator | DiagonalState:
+def oracle_channel(state, oracle: BasisPermutation):
     """One oracle evaluation on the whole ensemble: conjugation by the permutation.
 
-    Conjugation is linear in the state, so a mixture of classical inputs
-    is mapped to the same mixture of outputs.
+    ``state`` is any state :func:`~spindj.core.conjugate` takes, on any
+    backend. Conjugation is linear in the state, so a mixture of classical
+    inputs is mapped to the same mixture of outputs.
     """
     return conjugate(state, oracle)
 
@@ -150,10 +146,10 @@ def random_balanced(n: int, seed: int) -> TruthTable:
     """Uniformly random balanced table: a seeded shuffle of a half-ones vector."""
     if n < 1:
         raise ValueError("arity must be at least 1")
-    rng = np.random.default_rng(seed)
     bits = np.zeros(1 << n, dtype=np.uint8)
     bits[: 1 << (n - 1)] = 1
-    return TruthTable(rng.permutation(bits))
+    np.random.default_rng(seed).shuffle(bits)  # rng.permutation's stream, without its copy
+    return TruthTable(bits)
 
 
 def random_constant(n: int, seed: int) -> TruthTable:

@@ -29,6 +29,7 @@ from .core import (
     DiagonalState,
     Operator,
     SpinSystem,
+    StateVector,
     conjugate,
     embed,
     ensure_capacity,
@@ -194,12 +195,12 @@ def run_pseudo_pure_dj(
     once, and a final input Hadamard interferes the branches. The
     pseudo-pure state is (1 - eps) * identity/2^N + eps * |0...0><0...0|,
     and any unitary leaves the identity component unchanged, so only the
-    pure part is evolved. The signal is eps times that part's population
-    of the all-alpha input block: eps for a constant function, 0 for a
-    balanced one, and no background is subtracted. The circuit cannot
-    tell constant-0 from constant-1 (the ancilla phase is global), so
-    any constant function is reported as CONSTANT0. ``epsilon`` must lie
-    in (0, 1]; :func:`thermal_epsilon` gives it under the thermal model.
+    pure part is evolved, as a state vector psi. The signal is eps times
+    the sum of |psi|^2 over the all-alpha input block: eps for a constant
+    function, 0 for a balanced one, and no background is subtracted. The
+    circuit cannot tell constant-0 from constant-1 (the ancilla phase is
+    global), so any constant function is reported as CONSTANT0. ``epsilon``
+    must lie in (0, 1]; :func:`thermal_epsilon` gives it under the thermal model.
 
     ``tolerance`` is the detection-noise floor sigma. A signal of at most
     2 sigma cannot be told from noise, so when eps <= 2 sigma the verdict
@@ -211,7 +212,7 @@ def run_pseudo_pure_dj(
     oracle = reversible_oracle(system, table)
     if not tolerance > 0:  # NaN too
         raise ValueError("tolerance must be positive")
-    state = zeeman_product_state(system, "0" * system.n_spins)
+    state = StateVector(np.eye(1, system.dim)[0])  # |0...0>
 
     hadamards = {spin: _HADAMARD for spin in system.inputs}
     state = conjugate(state, _basis_change(system, {system.ancilla: _NOT}))

@@ -15,6 +15,7 @@ from spindj.core import (
     DiagonalState,
     Operator,
     SpinSystem,
+    StateVector,
     conjugate,
     ensure_capacity,
     expectation,
@@ -401,6 +402,54 @@ class TestRealConjugation:
             out = conjugate(rho, u)
             assert out.matrix.imag.any()
             assert np.max(np.abs(out.matrix - complex_conjugation(u, rho))) <= 1e-12
+
+
+def random_amplitudes(rng, dim):
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+class TestStateVector:
+    @settings(deadline=None, max_examples=200)
+    @given(xor=xor_maps(max_spins=7), seed=st.integers(0, 2**32 - 1))
+    def test_xor_map_moves_populations_as_the_diagonal_kernel(self, xor, seed):
+        state = StateVector(random_amplitudes(np.random.default_rng(seed), xor.dim))
+        out = conjugate(state, xor)
+        via_diagonal = conjugate(DiagonalState(state.populations, check=False), xor)
+        assert np.array_equal(out.populations, via_diagonal.populations)
+        # an involution on the amplitudes too
+        assert np.array_equal(conjugate(out, xor).amplitudes, state.amplitudes)
+
+    @settings(deadline=None, max_examples=100)
+    @given(n_spins=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_unitary_matches_the_density_matrix_formula(self, n_spins, seed):
+        rng = np.random.default_rng(seed)
+        dim = 1 << n_spins
+        u = random_unitary(rng, dim)
+        psi = random_amplitudes(rng, dim)
+        out = conjugate(StateVector(psi), u)
+        want = u.matrix @ np.outer(psi, psi.conj()) @ u.matrix.conj().T
+        assert np.max(np.abs(np.outer(out.amplitudes, out.amplitudes.conj()) - want)) <= 1e-12
+
+    def test_input_is_never_modified(self):
+        rng = np.random.default_rng(73)
+        system = SpinSystem(3, has_detection_spin=True)
+        psi = random_amplitudes(rng, system.dim)
+        before = psi.copy()
+        state = StateVector(psi)
+        for transform in (
+            reversible_oracle(system, TruthTable.from_string("01101001")),
+            fanout_unitary(system, 0, 4),
+            inversion_unitary(system, 2),
+            random_unitary(rng, system.dim),
+        ):
+            out = conjugate(state, transform)
+            assert not np.shares_memory(out.amplitudes, psi)
+            assert np.array_equal(psi, before)
+
+    def test_rejects_anything_but_a_vector(self):
+        with pytest.raises(ValueError, match="vector"):
+            StateVector(np.eye(2))
 
 
 class TestBackendConversion:

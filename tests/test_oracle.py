@@ -43,6 +43,8 @@ class TestTruthTable:
             TruthTable([0])
         with pytest.raises(TruthTableError, match="vector"):
             TruthTable(5)
+        with pytest.raises(TruthTableError, match="vector"):
+            TruthTable([[0, 1], [1]])
 
     def test_rejects_bad_values(self):
         with pytest.raises(TruthTableError):
@@ -190,6 +192,14 @@ class TestRandomTables:
         seen = {random_balanced(3, seed).to_string() for seed in range(10000)}
         # 70 balanced tables exist at n=3; the sampler must reach a good share
         assert len(seen) >= 30
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 20])
+    def test_balanced_stream_is_the_seeded_permutation_of_half_ones(self, n):
+        half_ones = np.zeros(1 << n, dtype=np.uint8)
+        half_ones[: 1 << (n - 1)] = 1
+        for seed in (0, 3, 2**64 - 1):
+            want = np.random.default_rng(seed).permutation(half_ones)
+            assert np.array_equal(random_balanced(n, seed).bits, want)
 
     def test_constant_produces_both_values(self):
         values = {random_constant(1, seed).to_string() for seed in range(50)}

@@ -286,6 +286,19 @@ class TestPseudoPure:
         # Relative to eps * s^2, or to eps itself where s = 0 (balanced).
         assert abs(got - want) <= 1e-12 * (want or epsilon)
 
+    @settings(deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**64 - 1),
+        make=st.sampled_from([random_table, random_balanced, random_constant]),
+        separate=st.booleans(),
+        epsilon=st.floats(1e-300, 1.0),
+    )
+    def test_signal_is_never_negative(self, n, seed, make, separate, epsilon):
+        # A population: a sum of |psi|^2, so no cancellation may leave it below 0.
+        system = SpinSystem(n, has_detection_spin=separate)
+        assert run_pseudo_pure_dj(system, make(n, seed), epsilon).signal >= 0.0
+
     def test_tiny_epsilon_keeps_a_positive_signal(self):
         out = run_pseudo_pure_dj(SpinSystem(2), TruthTable.constant(2, 0), 1e-300)
         assert out.signal > 0
@@ -312,7 +325,7 @@ class TestPseudoPure:
     )
     def test_matches_the_complex_projector_readout(self, source, separate):
         # The same reference evolved with the complex formula U rho U^dagger
-        # throughout, so the real kernel of conjugate() is not on its path.
+        # written out, so no dense kernel of conjugate() is on its path.
         def complex_conjugate(state, gate):
             if isinstance(gate, Operator):
                 u = gate.matrix
