@@ -58,6 +58,8 @@ SWEEP_CSV_COLUMNS = (
     "classical_worst_evaluations",
 )
 
+# A row draws its trials' seeds in one array, 8 MB at this bound.
+MAX_TRIALS = 10**6
 _GENERATED_SOURCES = ("constant0", "constant1", "balanced-random", "random")
 _DEFAULT_THERMAL_P = 1e-5
 # The report's config block, in order.
@@ -190,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--backend", choices=("dense", "diagonal"))
     sweep.add_argument(
         "--trials",
-        type=_checked(int, lambda v: v >= 0, "an integer >= 0"),
+        type=_checked(int, lambda v: 0 <= v <= MAX_TRIALS, f"an integer in 0..{MAX_TRIALS}"),
         help="random balanced tables per n",
     )
     _add_common_flags(sweep)
@@ -234,12 +236,21 @@ def _ensure_fits(cfg: ExperimentConfig, n: int) -> None:
     """Raise :class:`CapacityError` if ``n`` inputs exceed a backend the command uses.
 
     The pseudo-pure baseline runs dense, and the dense limit is the lower
-    one. With the defaults, as for ``spindj oracle``, the inputs and the
-    ancilla meet the diagonal limit.
+    one; the error names what asked for it. With the defaults, as for
+    ``spindj oracle``, the inputs and the ancilla meet the diagonal limit.
     """
     n_spins = cfg.system(n).n_spins
-    dense = _epsilon(cfg, n_spins) is not None or cfg.backend in ("dense", "both")
-    ensure_capacity(n_spins, "dense" if dense else "diagonal", cfg.max_spins)
+    causes = [f"--backend {cfg.backend}"] if cfg.backend in ("dense", "both") else []
+    if _epsilon(cfg, n_spins) is not None:
+        flag = "--epsilon" if cfg.epsilon is not None else "--thermal-p"
+        causes.append("the sweep's pseudo-pure baseline" if cfg.command == "sweep"
+                      else f"the pseudo-pure baseline that {flag} asks for")
+    try:
+        ensure_capacity(n_spins, "dense" if causes else "diagonal", cfg.max_spins)
+    except CapacityError as exc:
+        if causes:
+            raise CapacityError(f"{exc} (used by {' and '.join(causes)})") from None
+        raise
 
 
 def _epsilon(cfg: ExperimentConfig, n_spins: int) -> float | None:
@@ -324,8 +335,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> dict:
         constant = TruthTable.constant(n, 0)
         liouville = run_liouville_dj(system, constant, cfg.backend, **limits)
         balanced_signals = []
-        for _ in range(cfg.trials):
-            table = random_balanced(n, int(rng.integers(0, 2**63)))
+        # One draw per row gives the same seeds, in order, as one draw per trial.
+        for seed in rng.integers(0, 2**63, size=cfg.trials):
+            table = random_balanced(n, int(seed))
             outcome = run_liouville_dj(system, table, cfg.backend, **limits)
             balanced_signals.append(abs(outcome.signal))
         pseudo = run_pseudo_pure_dj(system, constant, _epsilon(cfg, system.n_spins), **limits)

@@ -379,8 +379,10 @@ def expectation(state: DensityOperator | DiagonalState, observable: Operator) ->
 
 def _masked_swap(values: np.ndarray, transform: BasisPermutation) -> np.ndarray:
     """An XOR map on a vector over the basis: a masked swap along the target axis."""
-    spins = values.reshape((2,) * transform.control.ndim)  # np.flip below is a view
-    return np.where(transform.control, np.flip(spins, transform.target), spins).reshape(-1)
+    spins = values.reshape((2,) * transform.control.ndim)
+    # The target axis reversed, as a view; slicing skips np.flip's per-call axis checks.
+    flipped = spins[(slice(None),) * transform.target + (slice(None, None, -1),)]
+    return np.where(transform.control, flipped, spins).reshape(-1)
 
 
 def conjugate(state, transform):

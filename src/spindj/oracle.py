@@ -56,7 +56,7 @@ class TruthTable:
         self.n = table_arity(array.shape[0])
         # Compare before casting: a cast would read 0.7 as 0, and 256 too.
         wrong = array > 1 if array.dtype == np.uint8 else (array != 0) & (array != 1)
-        if wrong.any():
+        if np.count_nonzero(wrong):
             bad = int(np.flatnonzero(wrong)[0])
             raise TruthTableError(
                 f"truth table entries must be 0 or 1, got {array.item(bad)!r} at position {bad}"

@@ -7,6 +7,7 @@ import re
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,6 +199,24 @@ class TestRunCommand:
         assert run_cli(capsys, *argv)[0] == 0
         assert run_cli(capsys, *argv, "--backend", "both")[0] == 4
         assert run_cli(capsys, *argv, "--thermal-p", "1e-5")[0] == 4
+
+    @pytest.mark.parametrize(
+        "flags, cause",
+        [
+            (["--epsilon", "0.5"], "the pseudo-pure baseline that --epsilon asks for"),
+            (["--thermal-p", "1e-5"], "the pseudo-pure baseline that --thermal-p asks for"),
+            (["--backend", "dense"], "--backend dense"),
+            (["--backend", "both"], "--backend both"),
+            (["--backend", "dense", "--epsilon", "0.5"],
+             "--backend dense and the pseudo-pure baseline that --epsilon asks for"),
+        ],
+    )
+    def test_capacity_error_names_what_asked_for_the_dense_limit(self, capsys, flags, cause):
+        code, _, err = run_cli(capsys, "run", "--n", "20", "--oracle", "constant0", *flags)
+        assert code == 4
+        assert err == (
+            f"capacity error: 21 spins exceed the dense backend capacity of 13 (used by {cause})\n"
+        )
 
     def test_capacity_of_a_loaded_table(self, capsys, tmp_path):
         path = tmp_path / "wide.tt"
@@ -423,10 +442,49 @@ class TestSweepCommand:
         code, _, _ = run_cli(capsys, "sweep", "--n", "14..16", "--seed", "1", "--trials", "1")
         assert code == 4
 
+    def test_capacity_error_names_the_sweep_baseline(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--n", "1..13", "--seed", "1")
+        assert code == 4
+        assert err == (
+            "capacity error: 14 spins exceed the dense backend capacity of 13 "
+            "(used by the sweep's pseudo-pure baseline)\n"
+        )
+
     def test_negative_trials_rejected(self, capsys):
         argv = ["sweep", "--n", "1..2", "--seed", "1", "--trials"]
         assert run_cli(capsys, *argv, "0")[0] == 0
         assert_usage_error(capsys, "--trials", *argv, "-1")
+
+    @pytest.mark.parametrize("value", [str(cli.MAX_TRIALS + 1), str(2**64)])
+    def test_trials_over_the_bound_rejected(self, capsys, value):
+        # 2^64 trials would run for ever; the bound keeps a row's seed array at 8 MB.
+        code, out, err = run_cli(capsys, "sweep", "--n", "1..1", "--seed", "1", "--trials", value)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"usage error: argument --trials: must be an integer in 0..{cli.MAX_TRIALS}, "
+            f"got '{value}'\n"
+        )
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_each_trial_draws_its_seed_from_the_sweep_generator(
+        self, capsys, monkeypatch, seed
+    ):
+        # Trial k of row n gets the next int(rng.integers(0, 2**63)) of
+        # default_rng(--seed), in row order; a row of 0 trials draws nothing.
+        drawn = []
+        original = cli.random_balanced
+
+        def recording(n, table_seed):
+            drawn.append((n, table_seed))
+            return original(n, table_seed)
+
+        monkeypatch.setattr(cli, "random_balanced", recording)
+        argv = ["sweep", "--n", "1..4", "--seed", str(seed), "--trials"]
+        assert run_cli(capsys, *argv, "0")[0] == 0
+        assert drawn == []
+        assert run_cli(capsys, *argv, "5")[0] == 0
+        rng = np.random.default_rng(seed)
+        assert drawn == [(n, int(rng.integers(0, 2**63))) for n in range(1, 5) for _ in range(5)]
 
     def test_capacity_is_checked_before_any_row(self, capsys):
         tracemalloc.start()
@@ -713,7 +771,7 @@ REFUSED = {
     "--detection": ["both"],
     "--format": ["xml"],
     "--max-spins": NOT_NUMBERS + ["0"],
-    "--trials": NOT_NUMBERS,
+    "--trials": NOT_NUMBERS + [str(cli.MAX_TRIALS + 1)],
     "--backend": ["gpu"],
 }
 REFUSED_LATER = {"--epsilon": ["5e-324", "1e-320"], "--thermal-p": ["5e-324", "1e-320"]}
@@ -727,7 +785,7 @@ FLAG_VALUES = {
     "--detection": st.sampled_from(["ancilla", "separate", "both"]),
     "--format": st.sampled_from(["json", "csv", "xml"]),
     "--max-spins": _values(st.integers(1, 9).map(str), BAD_NUMBERS),
-    # Not BAD_NUMBERS: 0 trials is valid, and 2^64 is valid and never ends.
+    # Not BAD_NUMBERS: 0 trials is valid.
     "--trials": _values(st.integers(0, 3).map(str), REFUSED["--trials"]),
 }
 VALID_VALUES = {
