@@ -17,11 +17,9 @@ from .core import (
     StateVector,
     conjugate,
     expectation,
-    maximally_mixed,
     pauli_z,
     polarization_operator,
     to_dense,
-    to_diagonal,
     von_neumann_entropy,
     zeeman_product_state,
 )
@@ -30,10 +28,8 @@ from .oracle import (
     TruthTable,
     TruthTableError,
     classify,
-    load_truth_table,
     oracle_channel,
     random_balanced,
-    random_constant,
     random_table,
     reversible_oracle,
 )
@@ -72,14 +68,11 @@ __all__ = [
     "expectation",
     "fanout_unitary",
     "inversion_unitary",
-    "load_truth_table",
-    "maximally_mixed",
     "oracle_channel",
     "pauli_z",
     "polarization_operator",
     "prepare_liouville_input",
     "random_balanced",
-    "random_constant",
     "random_table",
     "reversible_oracle",
     "rotation_unitary",
@@ -87,7 +80,6 @@ __all__ = [
     "run_pseudo_pure_dj",
     "thermal_epsilon",
     "to_dense",
-    "to_diagonal",
     "von_neumann_entropy",
     "zeeman_product_state",
 ]

@@ -149,8 +149,9 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--tolerance",
         type=_checked(float, lambda v: math.isfinite(v) and v > 0, "a positive finite number"),
-        help="detection-noise floor sigma: a Liouville signal within +-sigma reads "
-        "balanced; the pseudo-pure verdict is undecided when eps <= 2*sigma",
+        help="detection-noise floor sigma: a verdict is undecided when its full-scale "
+        "signal (Liouville 1, pseudo-pure eps) is <= 2*sigma; else a Liouville signal "
+        "within +-sigma reads balanced",
     )
     sub.add_argument("--format", choices=("json", "csv"), dest="fmt")
     sub.add_argument("--out", help="write the report to this path instead of stdout")

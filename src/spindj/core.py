@@ -32,7 +32,6 @@ _INDEXABLE_SPINS = {
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
 POPULATION_TOL = 1e-12
-COHERENCE_TOL = 1e-10
 EIGENVALUE_FLOOR = 1e-15
 
 _ID2 = np.eye(2, dtype=complex)
@@ -330,12 +329,12 @@ def polarization_operator(system: SpinSystem, spin: int, level: str) -> Operator
     if level not in _LEVELS:
         raise ValueError(f"level must be one of {_LEVELS}, got {level!r}")
     block = _ALPHA_PROJECTOR if level == "alpha" else _BETA_PROJECTOR
-    return Operator(embed(system, {spin: block}), check=False)
+    return Operator(embed(system, {spin: block}))
 
 
 def pauli_z(system: SpinSystem, spin: int) -> Operator:
     """Longitudinal observable 2*Iz of one spin (+1 on alpha, -1 on beta)."""
-    return Operator(embed(system, {spin: _PAULI_Z}), check=False)
+    return Operator(embed(system, {spin: _PAULI_Z}))
 
 
 def pauli_z_diagonal(system: SpinSystem, spin: int) -> np.ndarray:
@@ -350,10 +349,6 @@ def zeeman_product_state(system: SpinSystem, config: str) -> DensityOperator:
     matrix = np.zeros((system.dim, system.dim), dtype=complex)
     matrix[index, index] = 1.0
     return DensityOperator(matrix, check=False)
-
-
-def maximally_mixed(system: SpinSystem) -> DensityOperator:
-    return DensityOperator(np.eye(system.dim, dtype=complex) / system.dim, check=False)
 
 
 def expectation(state: DensityOperator | DiagonalState, observable: Operator) -> float:
@@ -424,17 +419,6 @@ def conjugate(state, transform):
 
 def to_dense(state: DiagonalState) -> DensityOperator:
     return DensityOperator(np.diag(state.populations.astype(complex)), check=False)
-
-
-def to_diagonal(state: DensityOperator) -> DiagonalState:
-    """Reinterpret a coherence-free dense state on the diagonal backend."""
-    off = state.matrix - np.diag(np.diag(state.matrix))
-    worst = float(np.max(np.abs(off))) if state.dim > 1 else 0.0
-    if worst >= COHERENCE_TOL:
-        raise ValueError(
-            f"state has coherences up to {worst:.3e}; not representable diagonally"
-        )
-    return DiagonalState(state.populations.copy())
 
 
 def von_neumann_entropy(state: DensityOperator | DiagonalState) -> float:

@@ -152,14 +152,6 @@ def random_balanced(n: int, seed: int) -> TruthTable:
     return TruthTable(bits)
 
 
-def random_constant(n: int, seed: int) -> TruthTable:
-    """All-zeros or all-ones, chosen with equal probability."""
-    if n < 1:
-        raise ValueError("arity must be at least 1")
-    rng = np.random.default_rng(seed)
-    return TruthTable.constant(n, int(rng.integers(2)))
-
-
 def random_table(n: int, seed: int) -> TruthTable:
     """Unconstrained random table (no promise)."""
     if n < 1:
@@ -168,8 +160,13 @@ def random_table(n: int, seed: int) -> TruthTable:
     return TruthTable(rng.integers(0, 2, size=1 << n, dtype=np.uint8))
 
 
-def _data_line(text: str) -> str:
-    """The one line of a table file that is neither blank nor a comment."""
+def read_data_line(path: str | Path) -> str:
+    """The unparsed data line of a table file: its one line that is neither
+    blank nor a '#' comment. Its length gives the arity."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TruthTableError(f"{path} is not UTF-8 text (byte {exc.start})") from None
     lines = [
         line.strip()
         for line in text.splitlines()
@@ -180,22 +177,3 @@ def _data_line(text: str) -> str:
             f"expected exactly one data line of 0/1 characters, found {len(lines)}"
         )
     return lines[0]
-
-
-def parse_truth_table(text: str) -> TruthTable:
-    """Parse the table file format: comment lines starting with '#', then
-    a single line of 2^n characters from {0,1}."""
-    return TruthTable.from_string(_data_line(text))
-
-
-def read_data_line(path: str | Path) -> str:
-    """The unparsed data line of a table file; its length gives the arity."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise TruthTableError(f"{path} is not UTF-8 text (byte {exc.start})") from None
-    return _data_line(text)
-
-
-def load_truth_table(path: str | Path) -> TruthTable:
-    return TruthTable.from_string(read_data_line(path))

@@ -144,6 +144,9 @@ def run_liouville_dj(
     the raw expectation needs no further normalization. The optional
     inversion pulse that would flip a negative constant signal is left
     out; sign handling lives in :func:`classify_signal`.
+
+    ``tolerance`` is the noise floor sigma: as in :func:`run_pseudo_pure_dj`,
+    a full-scale signal (here 1) within 2 sigma makes the verdict UNDECIDED.
     """
     if not tolerance > 0:  # NaN too
         raise ValueError("tolerance must be positive")
@@ -154,16 +157,15 @@ def run_liouville_dj(
     if backend == "dense":
         state = to_dense(state)
 
-    evaluations = 0
     state = oracle_channel(state, oracle)
-    evaluations += 1
 
     if system.has_detection_spin:
         copy = fanout_unitary(system, system.ancilla, system.detection)
         state = conjugate(state, copy)
 
     signal = _longitudinal_signal(state, system.detection)
-    return Outcome(signal, classify_signal(signal, tolerance), evaluations, backend)
+    verdict = Verdict.UNDECIDED if 1.0 <= 2.0 * tolerance else classify_signal(signal, tolerance)
+    return Outcome(signal, verdict, 1, backend)
 
 
 def pseudo_pure_matrix(n_spins: int, epsilon: float) -> DensityOperator:
@@ -208,10 +210,10 @@ def run_pseudo_pure_dj(
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
-    ensure_capacity(system.n_spins, "dense", max_spins)
-    oracle = reversible_oracle(system, table)
     if not tolerance > 0:  # NaN too
         raise ValueError("tolerance must be positive")
+    ensure_capacity(system.n_spins, "dense", max_spins)
+    oracle = reversible_oracle(system, table)
     state = StateVector(np.eye(1, system.dim)[0])  # |0...0>
 
     hadamards = {spin: _HADAMARD for spin in system.inputs}
@@ -220,10 +222,7 @@ def run_pseudo_pure_dj(
         state, _basis_change(system, {system.ancilla: _HADAMARD, **hadamards})
     )
 
-    evaluations = 0
     state = oracle_channel(state, oracle)
-    evaluations += 1
-
     state = conjugate(state, _basis_change(system, hadamards))
 
     # Axes: I0, the inputs as one axis, the detection spin (length 1 if absent);
@@ -236,7 +235,7 @@ def run_pseudo_pure_dj(
         verdict = Verdict.CONSTANT0
     else:
         verdict = Verdict.BALANCED
-    return Outcome(signal, verdict, evaluations, "dense")
+    return Outcome(signal, verdict, 1, "dense")
 
 
 def classical_dj(table: TruthTable, order: Sequence[int] | None = None) -> Outcome:

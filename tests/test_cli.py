@@ -105,6 +105,16 @@ class TestRunCommand:
         records = json.loads(out)["records"]
         assert [r["verdict"] for r in records] == ["constant0", "undecided"]
 
+    @pytest.mark.parametrize("oracle", ["constant0", "constant1"])
+    def test_liouville_verdict_is_undecided_when_sigma_reaches_half_full_scale(
+        self, capsys, oracle
+    ):
+        code, out, _ = run_cli(capsys, "run", "--n", "3", "--oracle", oracle, "--tolerance", "1")
+        assert code == 0
+        (record,) = json.loads(out)["records"]
+        assert abs(record["signal"]) == 1.0
+        assert record["verdict"] == "undecided"
+
     @pytest.mark.parametrize(
         "oracle, verdict", [("constant0", "constant0"), ("balanced-random", "balanced")]
     )

@@ -21,12 +21,10 @@ from spindj.core import (
     expectation,
     is_permutation_matrix,
     is_unitary_matrix,
-    maximally_mixed,
     pauli_z,
     pauli_z_diagonal,
     polarization_operator,
     to_dense,
-    to_diagonal,
     von_neumann_entropy,
     zeeman_product_state,
 )
@@ -237,7 +235,8 @@ class TestExpectation:
 
     def test_maximally_mixed_traceless_observable(self):
         system = SpinSystem(1)
-        assert expectation(maximally_mixed(system), pauli_z(system, 0)) == 0.0
+        mixed = DensityOperator(np.eye(system.dim) / system.dim)
+        assert expectation(mixed, pauli_z(system, 0)) == 0.0
 
     def test_msb_spin_on_second_basis_state(self):
         # independent route: direct trace against an explicit Kronecker matrix
@@ -291,7 +290,7 @@ class TestConjugate:
     def test_maximally_mixed_invariant_under_any_unitary(self):
         rng = np.random.default_rng(23)
         system = SpinSystem(2)
-        mixed = maximally_mixed(system)
+        mixed = DensityOperator(np.eye(system.dim) / system.dim)
         for _ in range(20):
             u = random_unitary(rng, system.dim)
             assert_allclose(conjugate(mixed, u).matrix, mixed.matrix, atol=1e-13)
@@ -453,15 +452,6 @@ class TestStateVector:
 
 
 class TestBackendConversion:
-    def test_round_trip(self):
-        state = DiagonalState([0.5, 0.5])
-        assert_allclose(to_diagonal(to_dense(state)).populations, state.populations)
-
-    def test_rejects_coherences(self):
-        matrix = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
-        with pytest.raises(ValueError):
-            to_diagonal(DensityOperator(matrix))
-
     def test_populations_is_a_read_only_view_of_the_diagonal(self):
         state = DensityOperator(np.array([[0.75, 0.25j], [-0.25j, 0.25]]))
         assert np.array_equal(state.populations, [0.75, 0.25])
@@ -471,10 +461,10 @@ class TestBackendConversion:
 
     def test_diagonal_states_own_their_populations(self):
         state = DensityOperator(np.eye(4, dtype=complex) / 4.0)
-        for diagonal in (to_diagonal(state), crusher(state)):
-            assert np.array_equal(diagonal.populations, [0.25] * 4)
-            assert not np.shares_memory(diagonal.populations, state.matrix)
-            assert diagonal.populations.flags.c_contiguous
+        diagonal = crusher(state)
+        assert np.array_equal(diagonal.populations, [0.25] * 4)
+        assert not np.shares_memory(diagonal.populations, state.matrix)
+        assert diagonal.populations.flags.c_contiguous
 
     def test_uniform_is_scaled_identity(self):
         state = DiagonalState([0.25] * 4)
@@ -488,7 +478,7 @@ class TestEntropy:
     @pytest.mark.parametrize("n_inputs", [1, 2, 3])
     def test_maximally_mixed(self, n_inputs):
         system = SpinSystem(n_inputs)
-        entropy = von_neumann_entropy(maximally_mixed(system))
+        entropy = von_neumann_entropy(DensityOperator(np.eye(system.dim) / system.dim))
         assert abs(entropy - system.n_spins * np.log(2)) < 1e-10
 
     def test_diagonal_backend(self):

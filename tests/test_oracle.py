@@ -5,9 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spindj.core import (
+    DensityOperator,
     DiagonalState,
     SpinSystem,
-    maximally_mixed,
     to_dense,
     zeeman_product_state,
 )
@@ -16,12 +16,10 @@ from spindj.oracle import (
     TruthTable,
     TruthTableError,
     classify,
-    load_truth_table,
     oracle_channel,
-    parse_truth_table,
     random_balanced,
-    random_constant,
     random_table,
+    read_data_line,
     reversible_oracle,
 )
 
@@ -159,7 +157,7 @@ class TestOracleChannel:
     def test_fixes_maximally_mixed_state(self):
         system = SpinSystem(2)
         oracle = reversible_oracle(system, TruthTable.from_string("0110"))
-        mixed = maximally_mixed(system)
+        mixed = DensityOperator(np.eye(system.dim) / system.dim)
         assert_allclose(oracle_channel(mixed, oracle).matrix, mixed.matrix)
 
     def test_linear_over_real_combinations(self):
@@ -185,7 +183,6 @@ class TestRandomTables:
 
     def test_deterministic_given_seed(self):
         assert random_balanced(3, 123).to_string() == random_balanced(3, 123).to_string()
-        assert random_constant(3, 9).to_string() == random_constant(3, 9).to_string()
         assert random_table(3, 77).to_string() == random_table(3, 77).to_string()
 
     def test_balanced_sampler_covers_the_space(self):
@@ -201,38 +198,37 @@ class TestRandomTables:
             want = np.random.default_rng(seed).permutation(half_ones)
             assert np.array_equal(random_balanced(n, seed).bits, want)
 
-    def test_constant_produces_both_values(self):
-        values = {random_constant(1, seed).to_string() for seed in range(50)}
-        assert values == {"00", "11"}
-
     def test_rejects_bad_arity(self):
         with pytest.raises(ValueError):
             random_balanced(0, 1)
 
 
 class TestTableFiles:
-    def test_parse_with_comments(self):
-        table = parse_truth_table("# xor on two bits\n# more notes\n0110\n")
+    """A table file loads as ``TruthTable.from_string(read_data_line(path))``."""
+
+    @staticmethod
+    def load(tmp_path, text):
+        path = tmp_path / "table.tt"
+        path.write_text(text)
+        return TruthTable.from_string(read_data_line(path))
+
+    def test_parse_with_comments(self, tmp_path):
+        table = self.load(tmp_path, "# xor on two bits\n# more notes\n0110\n")
         assert table.to_string() == "0110"
         assert classify(table) is OracleClass.BALANCED
 
-    def test_parse_rejects_multiple_data_lines(self):
-        with pytest.raises(TruthTableError):
-            parse_truth_table("0110\n0011\n")
+    def test_parse_rejects_multiple_data_lines(self, tmp_path):
+        with pytest.raises(TruthTableError, match="found 2"):
+            self.load(tmp_path, "0110\n0011\n")
 
-    def test_parse_rejects_empty_input(self):
-        with pytest.raises(TruthTableError):
-            parse_truth_table("# only a comment\n")
+    def test_parse_rejects_empty_input(self, tmp_path):
+        with pytest.raises(TruthTableError, match="found 0"):
+            self.load(tmp_path, "# only a comment\n")
 
-    def test_parse_rejects_bad_characters(self):
-        with pytest.raises(TruthTableError):
-            parse_truth_table("01i0\n")
+    def test_parse_rejects_bad_characters(self, tmp_path):
+        with pytest.raises(TruthTableError, match="'i' at position 2"):
+            self.load(tmp_path, "01i0\n")
 
-    def test_parse_rejects_non_power_of_two(self):
-        with pytest.raises(TruthTableError):
-            parse_truth_table("011\n")
-
-    def test_load_from_file(self, tmp_path):
-        path = tmp_path / "xor.tt"
-        path.write_text("# balanced\n0110\n")
-        assert load_truth_table(path).to_string() == "0110"
+    def test_parse_rejects_non_power_of_two(self, tmp_path):
+        with pytest.raises(TruthTableError, match="power of two"):
+            self.load(tmp_path, "011\n")

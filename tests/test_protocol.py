@@ -28,7 +28,6 @@ from spindj.oracle import (
     TruthTable,
     oracle_channel,
     random_balanced,
-    random_constant,
     random_table,
     reversible_oracle,
 )
@@ -44,6 +43,11 @@ from spindj.protocol import (
     run_pseudo_pure_dj,
     thermal_epsilon,
 )
+
+
+def seeded_constant(n, seed):
+    """All-zeros or all-ones, picked by the seed's parity."""
+    return TruthTable.constant(n, seed & 1)
 
 
 def brute_force_signal(table):
@@ -147,6 +151,22 @@ class TestLiouvilleRun:
             run_liouville_dj(SpinSystem(3), TruthTable.constant(3, 0), tolerance=tolerance)
 
     @pytest.mark.parametrize("backend", ["dense", "diagonal"])
+    def test_verdict_is_undecided_when_full_scale_is_within_twice_the_noise_floor(self, backend):
+        # The full-scale signal is 1, so sigma >= 1/2 cannot tell +-1 from 0.
+        system = SpinSystem(2)
+        tables = {
+            Verdict.CONSTANT0: TruthTable.constant(2, 0),
+            Verdict.CONSTANT1: TruthTable.constant(2, 1),
+            Verdict.BALANCED: TruthTable.from_string("0110"),
+        }
+        for verdict, table in tables.items():
+            for sigma in (0.5, 1.0, 2.0):
+                out = run_liouville_dj(system, table, backend, tolerance=sigma)
+                assert out.verdict is Verdict.UNDECIDED
+                assert out.signal == brute_force_signal(table)
+            assert run_liouville_dj(system, table, backend, tolerance=0.4999).verdict is verdict
+
+    @pytest.mark.parametrize("backend", ["dense", "diagonal"])
     @pytest.mark.parametrize("separate", [False, True])
     def test_readout_path_and_backend_agree_with_brute_force(self, backend, separate):
         rng = np.random.default_rng(67)
@@ -161,7 +181,7 @@ class TestLiouvilleRun:
     @given(
         n=st.integers(1, 12),
         seed=st.integers(0, 2**64 - 1),
-        make=st.sampled_from([random_table, random_balanced, random_constant]),
+        make=st.sampled_from([random_table, random_balanced, seeded_constant]),
         separate=st.booleans(),
     )
     def test_signal_is_exactly_the_mean_of_minus_one_to_the_f(self, n, seed, make, separate):
@@ -268,7 +288,7 @@ class TestPseudoPure:
     @given(
         n=st.integers(1, 5),
         seed=st.integers(0, 2**64 - 1),
-        make=st.sampled_from([random_table, random_balanced, random_constant]),
+        make=st.sampled_from([random_table, random_balanced, seeded_constant]),
         separate=st.booleans(),
         value=st.floats(1e-300, 1.0),
         thermal=st.booleans(),
@@ -290,7 +310,7 @@ class TestPseudoPure:
     @given(
         n=st.integers(1, 8),
         seed=st.integers(0, 2**64 - 1),
-        make=st.sampled_from([random_table, random_balanced, random_constant]),
+        make=st.sampled_from([random_table, random_balanced, seeded_constant]),
         separate=st.booleans(),
         epsilon=st.floats(1e-300, 1.0),
     )
@@ -309,7 +329,7 @@ class TestPseudoPure:
         rng = np.random.default_rng(79)
         for n in range(1, 6 - separate):
             system = SpinSystem(n, has_detection_spin=separate)
-            for make in (random_table, random_balanced, random_constant):
+            for make in (random_table, random_balanced, seeded_constant):
                 table = make(n, int(rng.integers(2**32)))
                 for epsilon in (
                     float(rng.uniform(0.01, 1.0)),
@@ -367,6 +387,18 @@ class TestPseudoPure:
         out = run_pseudo_pure_dj(system, TruthTable.from_string("0001"), 1.0)
         assert abs(out.signal - 0.25) < 1e-12
         assert out.verdict is Verdict.BALANCED
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_tolerance_before_building_the_oracle(self, monkeypatch, tolerance):
+        def refuse(system, table):
+            raise AssertionError("oracle built before the tolerance was checked")
+
+        monkeypatch.setattr(protocol, "reversible_oracle", refuse)
+        # 14 spins exceed the dense limit too: the tolerance is checked first.
+        with pytest.raises(ValueError, match="tolerance"):
+            run_pseudo_pure_dj(
+                SpinSystem(13), TruthTable.constant(13, 0), 0.5, tolerance=tolerance
+            )
 
     def test_rejects_nonpositive_noise_floor(self):
         for sigma in (0.0, float("nan")):
