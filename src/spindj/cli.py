@@ -146,13 +146,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     pseudo_pure.add_argument(
         "--thermal-p", type=_UNIT, help="per-spin polarization for epsilon(N)=N*p/2^N"
     )
-    sub.add_argument(
-        "--tolerance",
-        type=_checked(float, lambda v: math.isfinite(v) and v > 0, "a positive finite number"),
-        help="detection-noise floor sigma: a verdict is undecided when its full-scale "
-        "signal (Liouville 1, pseudo-pure eps) is <= 2*sigma; else a Liouville signal "
-        "within +-sigma reads balanced",
-    )
     sub.add_argument("--format", choices=("json", "csv"), dest="fmt")
     sub.add_argument("--out", help="write the report to this path instead of stdout")
     sub.add_argument(
@@ -178,6 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=_SEED, help="RNG seed (u64) for randomized oracles")
     run.add_argument("--backend", choices=("dense", "diagonal", "both"))
+    run.add_argument(
+        "--tolerance",
+        type=_checked(float, lambda v: math.isfinite(v) and v > 0, "a positive finite number"),
+        help="detection-noise floor sigma: a verdict is undecided when its full-scale "
+        "signal (Liouville 1, pseudo-pure eps) is <= 2*sigma; else a Liouville signal "
+        "within +-sigma reads balanced",
+    )
     _add_common_flags(run)
 
     sweep = commands.add_parser(
@@ -190,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="range of input counts, e.g. 1..8",
     )
     sweep.add_argument("--seed", required=True, type=_SEED, help="RNG seed (u64)")
-    sweep.add_argument("--backend", choices=("dense", "diagonal"))
     sweep.add_argument(
         "--trials",
         type=_checked(int, lambda v: 0 <= v <= MAX_TRIALS, f"an integer in 0..{MAX_TRIALS}"),
@@ -327,21 +326,21 @@ def cmd_run(cfg: ExperimentConfig) -> dict:
 def cmd_sweep(cfg: ExperimentConfig) -> dict:
     _ensure_fits(cfg, cfg.n_max)
     rng = np.random.default_rng(cfg.seed)
-    limits = {"tolerance": cfg.tolerance, "max_spins": cfg.max_spins}
 
     aggregates = []
     for n in range(cfg.n, cfg.n_max + 1):
         start = time.perf_counter()
         system = cfg.system(n)
         constant = TruthTable.constant(n, 0)
-        liouville = run_liouville_dj(system, constant, cfg.backend, **limits)
+        liouville = run_liouville_dj(system, constant, max_spins=cfg.max_spins)
         balanced_signals = []
         # One draw per row gives the same seeds, in order, as one draw per trial.
         for seed in rng.integers(0, 2**63, size=cfg.trials):
             table = random_balanced(n, int(seed))
-            outcome = run_liouville_dj(system, table, cfg.backend, **limits)
+            outcome = run_liouville_dj(system, table, max_spins=cfg.max_spins)
             balanced_signals.append(abs(outcome.signal))
-        pseudo = run_pseudo_pure_dj(system, constant, _epsilon(cfg, system.n_spins), **limits)
+        epsilon = _epsilon(cfg, system.n_spins)
+        pseudo = run_pseudo_pure_dj(system, constant, epsilon, max_spins=cfg.max_spins)
         worst_case = classical_dj(constant).evaluations
         wall = (time.perf_counter() - start) * 1e3
         aggregates.append(

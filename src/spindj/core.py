@@ -228,8 +228,13 @@ class DensityOperator:
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("density matrix must be square")
-        if check and np.max(np.abs(matrix - matrix.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
+        if check:
+            bad = np.argwhere(~np.isfinite(matrix))
+            if bad.size:
+                i, j = bad[0]
+                raise ValueError(f"density matrix entry ({i}, {j}) is {matrix[i, j]}, not finite")
+            if not np.max(np.abs(matrix - matrix.conj().T)) <= HERMITIAN_TOL:
+                raise ValueError("density matrix is not Hermitian within tolerance")
         self.matrix = matrix
 
     @property
@@ -273,9 +278,12 @@ class DiagonalState:
         if populations.ndim != 1:
             raise ValueError("populations must be a vector")
         if check:
-            if np.min(populations) < -POPULATION_TOL:
+            bad = np.flatnonzero(~np.isfinite(populations))
+            if bad.size:
+                raise ValueError(f"population {bad[0]} is {populations[bad[0]]}, not finite")
+            if not np.min(populations) >= -POPULATION_TOL:
                 raise ValueError("negative population beyond tolerance")
-            if abs(populations.sum() - 1.0) > POPULATION_TOL:
+            if not abs(populations.sum() - 1.0) <= POPULATION_TOL:
                 raise ValueError("populations do not sum to 1 within tolerance")
         self.populations = populations
 

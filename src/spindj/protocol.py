@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -113,6 +114,8 @@ def classify_signal(signal: float, tol: float = DEFAULT_SIGNAL_TOL) -> Verdict:
     """Positive signal -> constant 0, negative -> constant 1, silence -> balanced."""
     if not tol > 0:  # NaN too
         raise ValueError("tolerance must be positive")
+    if not math.isfinite(signal):
+        raise ValueError(f"signal must be a finite number, got {signal!r}")
     if signal > tol:
         return Verdict.CONSTANT0
     if signal < -tol:
@@ -257,7 +260,7 @@ def classical_dj(table: TruthTable, order: Sequence[int] | None = None) -> Outco
     evaluations = 0
     seen: set[int] = set()
     for x in queries:
-        x = int(x)
+        x = operator.index(x)  # refuses 1.9 rather than truncating it
         if not 0 <= x < size or x in seen:
             raise ValueError("query order must be distinct inputs within range")
         seen.add(x)

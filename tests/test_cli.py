@@ -475,6 +475,15 @@ class TestSweepCommand:
             f"got '{value}'\n"
         )
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--backend", "diagonal"), ("--backend", "dense"), ("--tolerance", "1e-6")]
+    )
+    def test_run_only_flags_are_usage_errors(self, capsys, flag, value):
+        # The sweep always runs the diagonal path at the default sigma and prints no verdict.
+        code, out, err = run_cli(capsys, "sweep", "--n", "1..2", "--seed", "1", flag, value)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: unrecognized arguments: {flag} {value}\n"
+
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_each_trial_draws_its_seed_from_the_sweep_generator(
         self, capsys, monkeypatch, seed
@@ -811,8 +820,8 @@ VALID_VALUES = {
 OPTIONAL_FLAGS = {
     "run": ["--seed", "--backend", "--detection", "--epsilon", "--thermal-p",
             "--tolerance", "--format", "--out", "--max-spins"],
-    "sweep": ["--backend", "--trials", "--detection", "--epsilon", "--thermal-p",
-              "--tolerance", "--format", "--out", "--max-spins"],
+    "sweep": ["--trials", "--detection", "--epsilon", "--thermal-p",
+              "--format", "--out", "--max-spins"],
     "oracle": ["--n", "--seed"],
 }
 
@@ -870,8 +879,6 @@ def one_bad_value_argv(draw, table_dir):
         lo, hi = sorted(draw(st.lists(st.integers(1, 6), min_size=2, max_size=2)))
         flags = {"--n": f"{lo}..{hi}", "--seed": draw(values["--seed"])}
         refused["--n"] = refused["--n"] + ["1..", "..3", "0..3"]
-        refused["--backend"] = ["both", "gpu"]
-        values["--backend"] = st.sampled_from(["dense", "diagonal"])
     else:
         source = draw(
             st.sampled_from(["constant0", "constant1", "balanced-random", "random", "good.tt"])

@@ -569,6 +569,25 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             DiagonalState([1.5, -0.5])
 
+    @pytest.mark.parametrize(
+        "populations, message",
+        [([np.nan, np.nan], "population 0 is nan"), ([0.5, np.nan], "population 1 is nan"),
+         ([np.inf, 0.0], "population 0 is inf")],
+    )
+    def test_diagonal_state_must_be_finite(self, populations, message):
+        with pytest.raises(ValueError, match=message):
+            DiagonalState(populations)
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [([[np.nan, 0], [0, 1]], r"entry \(0, 0\) is \(nan"),
+         ([[0.5, np.inf], [np.inf, 0.5]], r"entry \(0, 1\) is \(inf")],
+    )
+    def test_density_operator_must_be_finite(self, matrix, message):
+        # The inf pair must not reach the Hermiticity subtraction (inf - inf warns).
+        with pytest.raises(ValueError, match=message):
+            DensityOperator(matrix)
+
     def test_real_weighted_sums_allowed(self):
         system = SpinSystem(1)
         rho = 0.3 * zeeman_product_state(system, "00") + 0.7 * zeeman_product_state(system, "01")

@@ -105,6 +105,11 @@ class TestClassifySignal:
         with pytest.raises(ValueError):
             classify_signal(0.1, tol=float("nan"))
 
+    @pytest.mark.parametrize("signal", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_a_signal_that_is_not_a_finite_number(self, signal):
+        with pytest.raises(ValueError, match="signal must be a finite number"):
+            classify_signal(signal)
+
 
 class TestLiouvilleRun:
     def test_constant0_gives_plus_one(self):
@@ -513,6 +518,13 @@ class TestClassical:
             classical_dj(table, order=[0, 0, 1, 2])
         with pytest.raises(ValueError):
             classical_dj(table, order=[0, 9, 1, 2])
+        # A fractional query is refused, not truncated to another input.
+        with pytest.raises(TypeError):
+            classical_dj(TruthTable.from_string("0011"), order=[0.5, 1.9, 2.2])
+        with pytest.raises(TypeError):
+            classical_dj(table, order=np.array([0.0, 1.0, 2.0]))
+        # NumPy integers are queries like ints.
+        assert classical_dj(table, order=np.array([3, 1, 0])).evaluations == 3
 
     def test_rejects_too_short_order(self):
         with pytest.raises(ValueError):
