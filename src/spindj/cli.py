@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CapacityError, SpinSystem, ensure_capacity
+from .core import SPIN_LIMITS, CapacityError, SpinSystem, ensure_capacity
 from .oracle import (
     OracleClass,
     TruthTable,
@@ -47,16 +47,6 @@ EXIT_USAGE = 1
 EXIT_FILE = 2
 EXIT_TABLE = 3
 EXIT_CAPACITY = 4
-
-RUN_CSV_COLUMNS = ("n", "class", "signal", "verdict", "evaluations", "backend")
-SWEEP_CSV_COLUMNS = (
-    "n",
-    "liouville_signal",
-    "mean_abs_balanced_signal",
-    "pseudo_pure_signal",
-    "ratio",
-    "classical_worst_evaluations",
-)
 
 # A row draws its trials' seeds in one array, 8 MB at this bound.
 MAX_TRIALS = 10**6
@@ -151,7 +141,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--max-spins",
         type=_AT_LEAST_1,
-        help="raise the backend capacity limit (may exhaust memory)",
+        help="replace the backend capacity limit, lower or higher (higher may exhaust memory)",
     )
 
 
@@ -238,6 +228,7 @@ def _ensure_fits(cfg: ExperimentConfig, n: int) -> None:
     The pseudo-pure baseline runs dense, and the dense limit is the lower
     one; the error names what asked for it. With the defaults, as for
     ``spindj oracle``, the inputs and the ancilla meet the diagonal limit.
+    A --max-spins above that backend's default limit is warned about on stderr.
     """
     n_spins = cfg.system(n).n_spins
     causes = [f"--backend {cfg.backend}"] if cfg.backend in ("dense", "both") else []
@@ -245,8 +236,14 @@ def _ensure_fits(cfg: ExperimentConfig, n: int) -> None:
         flag = "--epsilon" if cfg.epsilon is not None else "--thermal-p"
         causes.append("the sweep's pseudo-pure baseline" if cfg.command == "sweep"
                       else f"the pseudo-pure baseline that {flag} asks for")
+    backend = "dense" if causes else "diagonal"
+    if cfg.max_spins is not None and cfg.max_spins > SPIN_LIMITS[backend]:
+        print(
+            f"warning: capacity limit raised to {cfg.max_spins} spins; may exhaust memory",
+            file=sys.stderr,
+        )
     try:
-        ensure_capacity(n_spins, "dense" if causes else "diagonal", cfg.max_spins)
+        ensure_capacity(n_spins, backend, cfg.max_spins)
     except CapacityError as exc:
         if causes:
             raise CapacityError(f"{exc} (used by {' and '.join(causes)})") from None
@@ -384,16 +381,13 @@ def cmd_oracle(cfg: ExperimentConfig) -> str:
 
 
 def _to_csv(report: dict) -> str:
+    """The report's rows with their JSON keys as columns, less ``wall_ms``."""
+    rows = report["records"] if report["command"] == "run" else report["aggregates"]
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    if report["command"] == "run":
-        writer.writerow(RUN_CSV_COLUMNS)
-        for record in report["records"]:
-            writer.writerow([record[c] for c in RUN_CSV_COLUMNS])
-    else:
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for row in report["aggregates"]:
-            writer.writerow([row[c] for c in SWEEP_CSV_COLUMNS])
+    columns = [key for key in rows[0] if key != "wall_ms"]
+    writer = csv.DictWriter(buffer, columns, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
@@ -410,12 +404,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(**vars(args))
     if cfg.command == "sweep":
         cfg.n, cfg.n_max = cfg.n
-    if cfg.max_spins is not None:
-        print(
-            f"warning: capacity limit raised to {cfg.max_spins} spins; "
-            "may exhaust memory",
-            file=sys.stderr,
-        )
     return cfg
 
 

@@ -20,8 +20,7 @@ import numpy as np
 
 # Backend capacity: dense keeps full 2^N x 2^N complex matrices (~1 GiB at
 # N=13); the diagonal backend only stores a 2^N population vector.
-DENSE_SPIN_LIMIT = 13
-DIAGONAL_SPIN_LIMIT = 26
+SPIN_LIMITS = {"dense": 13, "diagonal": 26}
 # The largest registers whose state numpy can index (8 * 2^N bytes of
 # populations, 16 * 4^N of matrix): 59 and 29 spins on a 64-bit build.
 _INDEXABLE_SPINS = {
@@ -49,12 +48,9 @@ class CapacityError(Exception):
 def ensure_capacity(n_spins: int, backend: str, limit: int | None = None) -> None:
     """Raise :class:`CapacityError` if ``n_spins`` exceeds the backend limit;
     a given ``limit`` replaces the default one, up to what numpy can index."""
-    if backend not in _INDEXABLE_SPINS:
+    if backend not in SPIN_LIMITS:
         raise ValueError(f"unknown backend {backend!r}")
-    if limit is None:
-        cap = DENSE_SPIN_LIMIT if backend == "dense" else DIAGONAL_SPIN_LIMIT
-    else:
-        cap = min(limit, _INDEXABLE_SPINS[backend])
+    cap = SPIN_LIMITS[backend] if limit is None else min(limit, _INDEXABLE_SPINS[backend])
     if n_spins > cap:
         raise CapacityError(
             f"{n_spins} spins exceed the {backend} backend capacity of {cap}"
@@ -200,10 +196,8 @@ class BasisPermutation:
     @property
     def mapping(self) -> np.ndarray:
         """The index form ``|i> -> |mapping[i]>``, built anew on each access."""
-        n_spins = self.control.ndim
-        indices = np.arange(self.dim).reshape((2,) * n_spins)
-        flip = self.control.astype(np.int64) << (n_spins - 1 - self.target)
-        return (indices ^ flip).reshape(-1)
+        # The map is its own inverse, so moving the indices gives each one's image.
+        return _masked_swap(np.arange(self.dim), self)
 
     def to_operator(self) -> Operator:
         matrix = np.zeros((self.dim, self.dim), dtype=complex)

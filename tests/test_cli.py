@@ -250,13 +250,32 @@ class TestRunCommand:
         assert peak < 20 << 20
 
     def test_max_spins_override_warns(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            "run", "--n", "14", "--oracle", "constant0", "--max-spins", "15",
-        )
+        # 30 is above the diagonal limit of 26; under --backend both, 14 is
+        # above the dense limit of 13. Each warns once.
+        for backend, cap in (("diagonal", "30"), ("both", "14")):
+            code, out, err = run_cli(
+                capsys,
+                "run", "--n", "3", "--oracle", "constant0", "--backend", backend,
+                "--max-spins", cap,
+            )
+            assert code == 0
+            assert err == f"warning: capacity limit raised to {cap} spins; may exhaust memory\n"
+            assert json.loads(out)["records"][0]["signal"] == 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # below the dense limit of 13 that the sweep's baseline counts against
+            ("sweep", "--n", "1..2", "--seed", "1", "--max-spins", "4"),
+            # a diagonal run: below its limit of 26
+            ("run", "--n", "14", "--oracle", "constant0", "--max-spins", "15"),
+        ],
+    )
+    def test_max_spins_that_lowers_the_limit_does_not_warn(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 0
-        assert "may exhaust memory" in err
-        assert json.loads(out)["records"][0]["signal"] == 1.0
+        assert out
+        assert err == ""
 
     def test_epsilon_and_thermal_p_conflict(self, capsys):
         code, _, _ = run_cli(
@@ -385,13 +404,14 @@ class TestDeterminism:
 class TestCsvOutput:
     def test_run_csv_matches_json_records(self, capsys):
         base = ("run", "--n", "3", "--oracle", "balanced-random", "--seed", "1",
-                "--backend", "both")
+                "--backend", "both", "--epsilon", "0.5")
         _, json_out, _ = run_cli(capsys, *base)
         _, csv_out, _ = run_cli(capsys, *base, "--format", "csv")
         records = json.loads(json_out)["records"]
         rows = list(csv.DictReader(io.StringIO(csv_out)))
         assert len(rows) == len(records)
         for row, record in zip(rows, records):
+            assert row["protocol"] == record["protocol"]
             assert int(row["n"]) == record["n"]
             assert row["class"] == record["class"]
             assert float(row["signal"]) == record["signal"]
@@ -747,6 +767,12 @@ ERROR_PREFIXES = {
     4: "capacity error: ",
 }
 MAX_SPINS_WARNING = "warning: capacity limit raised"
+# The CSV columns are the JSON row keys without wall_ms, written out here.
+RUN_CSV_HEADER = ["protocol", "n", "class", "signal", "verdict", "evaluations", "backend"]
+SWEEP_CSV_HEADER = [
+    "n", "liouville_signal", "mean_abs_balanced_signal", "pseudo_pure_signal", "ratio",
+    "classical_worst_evaluations",
+]
 
 TABLE_FILES = {
     "good.tt": b"# xor\n0110\n",
@@ -867,9 +893,9 @@ def cli_argv(draw, table_dir):
 
 
 @st.composite
-def one_bad_value_argv(draw, table_dir):
+def one_bad_value_argv(draw, table_dir, swap=True):
     """A complete, valid argv with exactly one value swapped for one its flag
-    refuses, and that flag."""
+    refuses, and that flag; without ``swap``, the valid argv and ``None``."""
     command = draw(st.sampled_from(["run", "sweep", "oracle"]))
     refused = dict(REFUSED)
     values = dict(VALID_VALUES)
@@ -891,11 +917,13 @@ def one_bad_value_argv(draw, table_dir):
             flags["--seed"] = draw(values["--seed"])
     # The bad flag is drawn first, so each flag is as likely to carry it, and
     # half the run and sweep examples get a value refused only after parsing.
-    if command != "oracle" and draw(st.booleans()):
-        refused = REFUSED_LATER
-    candidates = dict.fromkeys(["--n", "--seed", *OPTIONAL_FLAGS[command]])
-    bad = draw(st.sampled_from([flag for flag in candidates if flag in refused]))
-    flags[bad] = draw(st.sampled_from(refused[bad]))
+    bad = None
+    if swap:
+        if command != "oracle" and draw(st.booleans()):
+            refused = REFUSED_LATER
+        candidates = dict.fromkeys(["--n", "--seed", *OPTIONAL_FLAGS[command]])
+        bad = draw(st.sampled_from([flag for flag in candidates if flag in refused]))
+        flags[bad] = draw(st.sampled_from(refused[bad]))
     optional = [flag for flag in OPTIONAL_FLAGS[command] if flag not in flags]
     chosen = draw(st.lists(st.sampled_from(optional), unique=True)) if optional else []
     pseudo_pure = {"--epsilon", "--thermal-p"}
@@ -908,24 +936,27 @@ def one_bad_value_argv(draw, table_dir):
 
 
 def test_every_argv_ends_in_a_documented_exit(table_dir):
+    # Each draw comes with the exit it must reach: any documented one for a
+    # free-form argv, 1 for one bad value, 0 for a complete, valid argv.
     @settings(deadline=None, max_examples=300)
     @given(
         drawn=st.one_of(
-            cli_argv(table_dir).map(lambda argv: (argv, None)), one_bad_value_argv(table_dir)
+            cli_argv(table_dir).map(lambda argv: (argv, None, None)),
+            one_bad_value_argv(table_dir).map(lambda drawn: (*drawn, 1)),
+            one_bad_value_argv(table_dir, swap=False).map(lambda drawn: (*drawn, 0)),
         )
     )
     def check(drawn):
-        argv, bad_flag = drawn
+        argv, bad_flag, expected = drawn
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
+        # Valid --max-spins values stay below both default limits, so no
+        # example prints the warning for a raised limit.
         lines = err.getvalue().splitlines()
         assert "Traceback" not in err.getvalue()
-        if lines and lines[0].startswith(MAX_SPINS_WARNING):
-            assert int(argv[argv.index("--max-spins") + 1]) >= 1
-            lines = lines[1:]
-        if bad_flag is not None:
-            assert code == 1
+        if expected is not None:
+            assert code == expected
         if code != 0:
             assert code in ERROR_PREFIXES
             assert out.getvalue() == ""
@@ -947,8 +978,7 @@ def test_every_argv_ends_in_a_documented_exit(table_dir):
             assert report.startswith("n=")
         elif "csv" in argv:
             header = next(csv.reader(io.StringIO(report)))
-            columns = cli.RUN_CSV_COLUMNS if argv[0] == "run" else cli.SWEEP_CSV_COLUMNS
-            assert tuple(header) == columns
+            assert header == (RUN_CSV_HEADER if argv[0] == "run" else SWEEP_CSV_HEADER)
         else:
             assert strict_json(report)["version"] == "v1"
 

@@ -513,6 +513,14 @@ class TestXorPermutation:
         for xor in xor_maps_up_to_five_spins():
             mapping = xor.mapping
             n_spins = xor.control.ndim
+            # the docstring's rule, bit by bit: i ^ (control(i) << bit(target)),
+            # where spin k is bit n_spins - 1 - k and a length-1 mask axis is read at 0
+            expected = []
+            for i in range(xor.dim):
+                bits = [(i >> (n_spins - 1 - k)) & 1 for k in range(n_spins)]
+                at = tuple(bit if size == 2 else 0 for bit, size in zip(bits, xor.control.shape))
+                expected.append(i ^ (int(xor.control[at]) << (n_spins - 1 - xor.target)))
+            assert mapping.tolist() == expected
             # diagonal: |i> -> |mapping[i]> carries population p[i] to mapping[i]
             populations = rng.random(xor.dim)
             state = DiagonalState(populations / populations.sum())
