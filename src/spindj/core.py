@@ -4,6 +4,8 @@ Three state types cover the protocol's needs over the ``2**N`` Zeeman
 product basis: a dense complex density matrix, a real population vector
 for states diagonal in that basis (the common case, since the gradient
 crusher removes all coherences), and the amplitude vector of a pure state.
+Operators and amplitude vectors stay float64 while their entries are real
+and become complex128 only when they are not.
 
 Basis ordering is fixed once and for all: the ancilla spin I0 is the most
 significant bit, the input spins I1..In follow in order, and a separate
@@ -33,10 +35,10 @@ UNITARY_TOL = 1e-12
 POPULATION_TOL = 1e-12
 EIGENVALUE_FLOOR = 1e-15
 
-_ID2 = np.eye(2, dtype=complex)
-_ALPHA_PROJECTOR = np.array([[1, 0], [0, 0]], dtype=complex)
-_BETA_PROJECTOR = np.array([[0, 0], [0, 1]], dtype=complex)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_ID2 = np.eye(2)
+_ALPHA_PROJECTOR = np.array([[1.0, 0.0], [0.0, 0.0]])
+_BETA_PROJECTOR = np.array([[0.0, 0.0], [0.0, 1.0]])
+_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 _LEVELS = ("alpha", "beta")
 
@@ -124,13 +126,10 @@ def is_unitary_matrix(matrix: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     return bool(np.max(np.abs(prod - np.eye(matrix.shape[0]))) <= tol)
 
 
-def is_permutation_matrix(matrix: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    """One entry of modulus 1 per row and per column, all others ~0."""
-    mags = np.abs(matrix)
-    big = mags > tol
-    if not (np.all(big.sum(axis=0) == 1) and np.all(big.sum(axis=1) == 1)):
-        return False
-    return bool(np.max(np.abs(mags[big] - 1.0)) <= tol)
+def _real_or_complex(values) -> np.ndarray:
+    """``values`` as float64 if its dtype is real, else as complex128."""
+    values = np.asarray(values)
+    return values.astype(np.result_type(values, np.float64), copy=False)
 
 
 class Operator:
@@ -144,7 +143,7 @@ class Operator:
     __slots__ = ("matrix", "unitary")
 
     def __init__(self, matrix, *, unitary: bool = False, check: bool = True):
-        matrix = np.asarray(matrix, dtype=complex)
+        matrix = _real_or_complex(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("operator matrix must be square")
         if unitary and check and not is_unitary_matrix(matrix):
@@ -299,9 +298,13 @@ class StateVector:
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes):
-        self.amplitudes = np.asarray(amplitudes, dtype=complex)
-        if self.amplitudes.ndim != 1:
+        amplitudes = _real_or_complex(amplitudes)
+        if amplitudes.ndim != 1:
             raise ValueError("amplitudes must be a vector")
+        bad = np.flatnonzero(~np.isfinite(amplitudes))
+        if bad.size:
+            raise ValueError(f"amplitude {bad[0]} is {amplitudes[bad[0]]}, not finite")
+        self.amplitudes = amplitudes
 
     @property
     def dim(self) -> int:
@@ -309,20 +312,22 @@ class StateVector:
 
     @property
     def populations(self) -> np.ndarray:  # |psi|^2, the diagonal of |psi><psi|
-        return self.amplitudes.real**2 + self.amplitudes.imag**2
+        psi = self.amplitudes
+        return psi**2 if psi.dtype == np.float64 else psi.real**2 + psi.imag**2
 
 
 def embed(system: SpinSystem, gates: dict[int, np.ndarray]) -> np.ndarray:
     """Kronecker product with single-spin blocks on selected spins.
 
     ``gates`` maps spin index to a 2x2 block; every other spin gets the
-    identity. Spin I0 is the leftmost (most significant) factor.
+    identity. Spin I0 is the leftmost (most significant) factor. Built from
+    the last spin up, so ``np.kron``'s inner loop runs over the long factor.
     """
     for spin in gates:
         system.check_spin(spin)
-    result = np.array([[1.0 + 0.0j]])
-    for spin in range(system.n_spins):
-        result = np.kron(result, gates.get(spin, _ID2))
+    result = np.ones((1, 1))
+    for spin in reversed(range(system.n_spins)):
+        result = np.kron(gates.get(spin, _ID2), result)
     return result
 
 
@@ -420,6 +425,9 @@ def conjugate(state, transform):
 
 
 def to_dense(state: DiagonalState) -> DensityOperator:
+    """The density matrix of a diagonal state; any other state is refused, not dephased."""
+    if not isinstance(state, DiagonalState):
+        raise TypeError(f"to_dense takes a DiagonalState, not {type(state).__name__}")
     return DensityOperator(np.diag(state.populations.astype(complex)), check=False)
 
 

@@ -94,7 +94,7 @@ class TruthTable:
 
     @property
     def ones(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
     def to_string(self) -> str:
         return "".join(str(b) for b in self.bits)

@@ -26,7 +26,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
-    DensityOperator,
     DiagonalState,
     Operator,
     SpinSystem,
@@ -42,8 +41,9 @@ from .pulses import crusher, fanout_unitary, rotation_unitary
 
 DEFAULT_SIGNAL_TOL = 1e-6
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_NOT = np.array([[0, 1], [1, 0]], dtype=complex)
+# Real blocks: the whole pseudo-pure circuit runs in float64.
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+_NOT = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 class Verdict(enum.Enum):
@@ -171,16 +171,6 @@ def run_liouville_dj(
     return Outcome(signal, verdict, 1, backend)
 
 
-def pseudo_pure_matrix(n_spins: int, epsilon: float) -> DensityOperator:
-    """(1 - eps) * 2^-N * identity + eps * |00...0><00...0| on N spins."""
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
-    dim = 1 << n_spins
-    matrix = np.eye(dim, dtype=complex) * ((1.0 - epsilon) / dim)
-    matrix[0, 0] += epsilon
-    return DensityOperator(matrix, check=False)
-
-
 def _basis_change(system: SpinSystem, blocks: dict[int, np.ndarray]) -> Operator:
     return Operator(embed(system, blocks), unitary=True, check=False)
 
@@ -200,12 +190,13 @@ def run_pseudo_pure_dj(
     once, and a final input Hadamard interferes the branches. The
     pseudo-pure state is (1 - eps) * identity/2^N + eps * |0...0><0...0|,
     and any unitary leaves the identity component unchanged, so only the
-    pure part is evolved, as a state vector psi. The signal is eps times
-    the sum of |psi|^2 over the all-alpha input block: eps for a constant
-    function, 0 for a balanced one, and no background is subtracted. The
-    circuit cannot tell constant-0 from constant-1 (the ancilla phase is
-    global), so any constant function is reported as CONSTANT0. ``epsilon``
-    must lie in (0, 1]; :func:`thermal_epsilon` gives it under the thermal model.
+    pure part is evolved, as a state vector psi, in float64: every gate is
+    real. The signal is eps times the sum of |psi|^2 over the all-alpha
+    input block: eps for a constant function, 0 for a balanced one, and no
+    background is subtracted. The circuit cannot tell constant-0 from
+    constant-1 (the ancilla phase is global), so any constant function is
+    reported as CONSTANT0. ``epsilon`` must lie in (0, 1];
+    :func:`thermal_epsilon` gives it under the thermal model.
 
     ``tolerance`` is the detection-noise floor sigma. A signal of at most
     2 sigma cannot be told from noise, so when eps <= 2 sigma the verdict

@@ -18,7 +18,6 @@ from spindj.core import (
     Operator,
     SpinSystem,
     conjugate,
-    is_permutation_matrix,
     is_unitary_matrix,
     pauli_z,
     polarization_operator,
@@ -38,6 +37,8 @@ from spindj.protocol import (
     run_liouville_dj,
 )
 from spindj.pulses import fanout_unitary, inversion_unitary, rotation_unitary
+
+from reference import is_permutation_matrix
 
 
 def report(name, passed):

@@ -17,9 +17,9 @@ from spindj.core import (
     SpinSystem,
     StateVector,
     conjugate,
+    embed,
     ensure_capacity,
     expectation,
-    is_permutation_matrix,
     is_unitary_matrix,
     pauli_z,
     pauli_z_diagonal,
@@ -35,6 +35,8 @@ from spindj.pulses import (
     inversion_unitary,
     rotation_unitary,
 )
+
+from reference import is_permutation_matrix
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -450,6 +452,34 @@ class TestStateVector:
         with pytest.raises(ValueError, match="vector"):
             StateVector(np.eye(2))
 
+    @pytest.mark.parametrize(
+        "amplitudes, message",
+        [([np.nan, 1.0], "amplitude 0 is nan"), ([1.0, np.inf], "amplitude 1 is inf"),
+         ([1.0, complex(1.0, np.inf), np.nan], r"amplitude 1 is \(1\+infj\)")],
+    )
+    def test_must_be_finite(self, amplitudes, message):
+        with pytest.raises(ValueError, match=message):
+            StateVector(amplitudes)
+
+    def test_real_amplitudes_stay_float64_through_a_real_gate(self):
+        system = SpinSystem(2)
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        gate = Operator(embed(system, {0: hadamard, 2: hadamard}), unitary=True)
+        out = conjugate(StateVector(np.eye(1, system.dim)[0]), gate)
+        assert out.amplitudes.dtype == np.float64
+        assert np.array_equal(out.populations, out.amplitudes**2)
+        assert_allclose(out.populations, [0.25, 0.25, 0, 0, 0.25, 0.25, 0, 0])
+
+    def test_a_complex_gate_or_state_promotes_to_complex128(self):
+        system = SpinSystem(2)
+        real = StateVector(np.eye(1, system.dim)[0])
+        pulse = rotation_unitary(system, "x", np.pi / 2.0, [1])
+        out = conjugate(real, pulse)
+        assert out.amplitudes.dtype == np.complex128
+        assert_allclose(out.populations, [0.5, 0, 0.5, 0, 0, 0, 0, 0])
+        flip = Operator(embed(system, {0: np.array([[0.0, 1.0], [1.0, 0.0]])}), unitary=True)
+        assert conjugate(out, flip).amplitudes.dtype == np.complex128
+
 
 class TestBackendConversion:
     def test_populations_is_a_read_only_view_of_the_diagonal(self):
@@ -469,6 +499,39 @@ class TestBackendConversion:
     def test_uniform_is_scaled_identity(self):
         state = DiagonalState([0.25] * 4)
         assert_allclose(to_dense(state).matrix, np.eye(4) / 4.0)
+
+    @pytest.mark.parametrize(
+        "state",
+        [StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0)), DensityOperator(np.full((2, 2), 0.5))],
+        ids=["state-vector", "coherent-density-operator"],
+    )
+    def test_to_dense_refuses_rather_than_dephases(self, state):
+        with pytest.raises(TypeError, match=type(state).__name__):
+            to_dense(state)
+
+
+class TestRealArithmetic:
+    def test_embed_of_real_blocks_is_float64(self):
+        system = SpinSystem(2, has_detection_spin=True)
+        assert embed(system, {}).dtype == np.float64
+        assert np.array_equal(embed(system, {}), np.eye(system.dim))
+        assert embed(system, {1: np.array([[0.0, 1.0], [1.0, 0.0]])}).dtype == np.float64
+        assert pauli_z(system, 3).matrix.dtype == np.float64
+        assert polarization_operator(system, 0, "beta").matrix.dtype == np.float64
+
+    def test_embed_of_a_complex_block_is_complex128(self):
+        system = SpinSystem(2)
+        assert embed(system, {1: SIGMA_Z}).dtype == np.complex128
+        assert rotation_unitary(system, "x", 1.0, [0]).matrix.dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "dtype, want",
+        [(np.int64, np.float64), (np.float32, np.float64), (np.float64, np.float64),
+         (np.complex64, np.complex128), (np.complex128, np.complex128)],
+    )
+    def test_operators_and_amplitudes_are_float64_or_complex128(self, dtype, want):
+        assert Operator(np.eye(2, dtype=dtype)).matrix.dtype == want
+        assert StateVector(np.ones(2, dtype=dtype)).amplitudes.dtype == want
 
 
 class TestEntropy:

@@ -38,11 +38,12 @@ from spindj.protocol import (
     classify_signal,
     prepare_liouville_input,
     prepare_liouville_input_pulsed,
-    pseudo_pure_matrix,
     run_liouville_dj,
     run_pseudo_pure_dj,
     thermal_epsilon,
 )
+
+from reference import pseudo_pure_matrix
 
 
 def seeded_constant(n, seed):
@@ -411,6 +412,39 @@ class TestPseudoPure:
                 run_pseudo_pure_dj(
                     SpinSystem(1), TruthTable.constant(1, 0), 1.0, tolerance=sigma
                 )
+
+    @pytest.mark.parametrize("separate", [False, True], ids=["ancilla", "separate"])
+    def test_gates_are_the_real_part_of_the_complex_kronecker_chain(self, monkeypatch, separate):
+        system = SpinSystem(3, has_detection_spin=separate)
+        gates, states = [], []
+
+        def recording(state, transform):
+            gates.append(transform.matrix)
+            states.append(state.amplitudes)
+            return conjugate(state, transform)
+
+        monkeypatch.setattr(protocol, "conjugate", recording)
+        run_pseudo_pure_dj(system, random_balanced(3, 11), 0.5)
+
+        def complex_chain(blocks):
+            """I0 first, each spin's block appended on the right."""
+            out = np.array([[1.0 + 0.0j]])
+            for spin in range(system.n_spins):
+                out = np.kron(out, blocks.get(spin, np.eye(2, dtype=complex)))
+            return out
+
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0) + 0j
+        inputs = {spin: hadamard for spin in system.inputs}
+        chains = [
+            complex_chain({system.ancilla: np.array([[0, 1], [1, 0]], dtype=complex)}),
+            complex_chain({system.ancilla: hadamard, **inputs}),
+            complex_chain(inputs),
+        ]
+        assert len(gates) == 3
+        for gate, chain in zip(gates, chains):
+            assert gate.dtype == np.float64
+            assert np.array_equal(gate, chain.real) and not chain.imag.any()
+        assert all(psi.dtype == np.float64 for psi in states)
 
 
 def projector_readout(system, table, epsilon, apply):

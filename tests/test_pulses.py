@@ -7,7 +7,6 @@ from spindj.core import (
     DiagonalState,
     SpinSystem,
     conjugate,
-    is_permutation_matrix,
     is_unitary_matrix,
     to_dense,
     zeeman_product_state,
@@ -18,6 +17,8 @@ from spindj.pulses import (
     inversion_unitary,
     rotation_unitary,
 )
+
+from reference import is_permutation_matrix
 
 
 def marginal(populations, system, spin):
