@@ -54,13 +54,15 @@ class TruthTable:
         if array.ndim != 1:
             raise TruthTableError(f"truth table must be a vector, got {array.ndim} dimensions")
         self.n = table_arity(array.shape[0])
-        # Compare before casting: a cast would read 0.7 as 0, and 256 too.
-        wrong = array > 1 if array.dtype == np.uint8 else (array != 0) & (array != 1)
-        if np.count_nonzero(wrong):
-            bad = int(np.flatnonzero(wrong)[0])
-            raise TruthTableError(
-                f"truth table entries must be 0 or 1, got {array.item(bad)!r} at position {bad}"
-            )
+        # Compare before casting: a cast would read 0.7 as 0, and 256 too. A uint8
+        # table is checked by one reduction; only a bad one builds a 2^n mask.
+        if array.dtype != np.uint8 or np.maximum.reduce(array) > 1:
+            wrong = array > 1 if array.dtype == np.uint8 else (array != 0) & (array != 1)
+            if np.count_nonzero(wrong):
+                bad = int(np.flatnonzero(wrong)[0])
+                raise TruthTableError(
+                    f"truth table entries must be 0 or 1, got {array.item(bad)!r} at position {bad}"
+                )
         self.bits = array.astype(np.uint8, copy=False)
 
     @classmethod
@@ -72,10 +74,10 @@ class TruthTable:
         except UnicodeEncodeError as exc:
             bad = exc.start
         else:
-            wrong = np.flatnonzero(bits > 1)
-            if not wrong.size:
+            # initial=0: an empty line reaches the length check in cls().
+            if np.maximum.reduce(bits, initial=0) <= 1:
                 return cls(bits)
-            bad = int(wrong[0])
+            bad = int(np.flatnonzero(bits > 1)[0])
         raise TruthTableError(
             f"truth table characters must be 0/1, got {text[bad]!r} at position {bad}"
         )
@@ -164,7 +166,8 @@ def read_data_line(path: str | Path) -> str:
     """The unparsed data line of a table file: its one line that is neither
     blank nor a '#' comment. Its length gives the arity."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # Not "utf-8-sig": it counts exc.start from after a byte-order mark.
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise TruthTableError(f"{path} is not UTF-8 text (byte {exc.start})") from None
     lines = [

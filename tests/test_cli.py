@@ -172,6 +172,17 @@ class TestRunCommand:
         assert out == ""
         assert err.startswith("truth table error: ") and err.count("\n") == 1
 
+    def test_table_file_with_a_byte_order_mark(self, capsys, tmp_path):
+        marked, plain = tmp_path / "marked.tt", tmp_path / "plain.tt"
+        marked.write_bytes(b"\xef\xbb\xbf0101\n")
+        plain.write_bytes(b"0101\n")
+        code, out, err = run_cli(capsys, "run", "--oracle", str(marked))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["records"][0]["n"] == 2
+        listing = run_cli(capsys, "oracle", "--oracle", str(marked))
+        assert listing == run_cli(capsys, "oracle", "--oracle", str(plain))
+        assert listing[1].startswith("n=2, balanced, ones=2\n")
+
     def test_bad_character_is_named_with_its_position(self, capsys, tmp_path):
         path = tmp_path / "long.tt"
         path.write_text("01" * 4096 + "x" + "0" * 8191 + "\n")

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,10 +44,14 @@ class TestTruthTable:
             TruthTable(5)
         with pytest.raises(TruthTableError, match="vector"):
             TruthTable([[0, 1], [1]])
+        with pytest.raises(TruthTableError, match="power of two >= 2, got 0$"):
+            TruthTable.from_string("")
 
     def test_rejects_bad_values(self):
         with pytest.raises(TruthTableError):
             TruthTable([0, 2])
+        with pytest.raises(TruthTableError, match="got 2 at position 2$"):
+            TruthTable(np.array([0, 1, 2, 255], dtype=np.uint8))
         # Entries are compared before the cast, which would read them as 0 and 0/1.
         with pytest.raises(TruthTableError, match="got 0.7 at position 0"):
             TruthTable([0.7, 0.2])
@@ -54,6 +59,29 @@ class TestTruthTable:
             TruthTable([0.5, 1.0])
         with pytest.raises(TruthTableError):
             TruthTable.from_string("01x1")
+
+    def test_a_valid_uint8_table_is_checked_without_a_mask(self):
+        # numpy reports its buffers to tracemalloc; a 2^20-entry mask is 1 MiB.
+        bits = np.zeros(1 << 20, dtype=np.uint8)
+        bits[::3] = 1
+        tracemalloc.start()
+        try:
+            TruthTable(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+    def test_from_string_holds_only_the_encoded_line_and_the_table(self):
+        text = "01" * (1 << 19)
+        tracemalloc.start()
+        try:
+            table = TruthTable.from_string(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.n == 20
+        assert peak <= 2 * table.bits.nbytes + (4 << 10)  # 4 KiB for object headers
 
     def test_lookup(self):
         table = TruthTable.from_string("0110")
@@ -232,3 +260,9 @@ class TestTableFiles:
     def test_parse_rejects_non_power_of_two(self, tmp_path):
         with pytest.raises(TruthTableError, match="power of two"):
             self.load(tmp_path, "011\n")
+
+    def test_non_utf8_byte_is_located_from_the_start_of_the_file(self, tmp_path):
+        path = tmp_path / "table.tt"
+        path.write_bytes(b"\xef\xbb\xbf01\xff\n")
+        with pytest.raises(TruthTableError, match=r"is not UTF-8 text \(byte 5\)$"):
+            read_data_line(path)
