@@ -89,6 +89,8 @@ class TruthTable:
         return cls(np.full(1 << n, value, dtype=np.uint8))
 
     def __call__(self, x: int) -> int:
+        if not 0 <= x < len(self):  # numpy would read -1 as the last entry
+            raise ValueError(f"argument {x} out of range 0..{len(self) - 1}")
         return int(self.bits[x])
 
     def __len__(self) -> int:

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spindj.core
 from spindj import cli
 
 
@@ -95,6 +97,18 @@ class TestRunCommand:
         report = json.loads(out)
         assert {r["backend"] for r in report["records"]} == {"dense", "diagonal"}
         assert report["cross_check"] < 1e-12
+
+    def test_a_dense_run_leaves_no_thread_behind(self, capsys, monkeypatch):
+        # 11 spins: 64 MiB matrices, each filled in two row slabs on worker threads.
+        monkeypatch.setattr(spindj.core, "_WORKERS", 2)
+        threads_before = threading.active_count()
+        code, out, _ = run_cli(
+            capsys, "run", "--n", "10", "--oracle", "balanced-random", "--seed", "3",
+            "--backend", "dense",
+        )
+        assert code == 0
+        assert json.loads(out)["records"][0]["verdict"] == "balanced"
+        assert threading.active_count() == threads_before
 
     def test_pseudo_pure_verdict_is_undecided_below_the_noise_floor(self, capsys):
         # eps(9 spins) = 9e-5/512 ~ 1.8e-7 <= 2 sigma with the default sigma = 1e-6

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from spindj.core import (
     von_neumann_entropy,
     zeeman_product_state,
 )
-from spindj.oracle import TruthTable, reversible_oracle
+from spindj.oracle import TruthTable, random_balanced, reversible_oracle
 from spindj.pulses import (
     crusher,
     fanout_unitary,
@@ -627,6 +628,74 @@ class TestXorPermutation:
             BasisPermutation(0, np.ones((1, 3), dtype=bool))
         with pytest.raises(ValueError):
             BasisPermutation(2, np.ones((1, 2), dtype=bool))
+
+
+class TestDenseRowSlabs:
+    """The dense gather and to_dense fill their output one row slab per worker
+    thread; each must equal its single-call numpy form bit for bit."""
+
+    # 8 spins (1 MiB) stay on the caller's thread; 11 spins (64 MiB) are split.
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_spins", [8, 11])
+    def test_gather_and_to_dense_equal_their_single_call_forms(self, monkeypatch, workers, n_spins):
+        monkeypatch.setattr(spindj.core, "_WORKERS", workers)
+        system = SpinSystem(n_spins - 2, has_detection_spin=True)
+        dim = system.dim
+        # Every entry distinct, so any misplaced one shows.
+        matrix = np.arange(dim * dim, dtype=float).reshape(dim, dim) * (1 - 0.5j)
+        before = matrix.copy()
+        state = DensityOperator(matrix, check=False)
+        for xor in (
+            reversible_oracle(system, random_balanced(system.n_inputs, 17)),
+            fanout_unitary(system, 0, n_spins - 1),
+            inversion_unitary(system, 2),
+        ):
+            m = xor.mapping
+            out = conjugate(state, xor)
+            assert np.array_equal(out.matrix, matrix[np.ix_(m, m)])
+            assert not np.shares_memory(out.matrix, matrix)
+            assert np.array_equal(matrix, before)
+
+        populations = np.random.default_rng(n_spins).random(dim)
+        populations /= populations.sum()
+        dense = to_dense(DiagonalState(populations))
+        assert dense.matrix.dtype == np.complex128
+        assert np.array_equal(dense.matrix, np.diag(populations.astype(complex)))
+
+    @pytest.mark.parametrize(
+        "rows, slabs",
+        [
+            (255, [(0, 255)]),
+            (511, [(0, 511)]),
+            (512, [(0, 256), (256, 512)]),
+            (768, [(0, 256), (256, 512), (512, 768)]),
+        ],
+    )
+    def test_no_slab_is_below_the_minimum_size(self, monkeypatch, rows, slabs):
+        monkeypatch.setattr(spindj.core, "_WORKERS", 3)
+        # 256 rows fill one minimum slab; fill writes nothing, so no page is touched.
+        out = np.empty((rows, spindj.core._MIN_SLAB_BYTES // 256 // 16), dtype=complex)
+        seen = []
+        spindj.core._by_row_slabs(out, lambda lo, hi: seen.append((lo, hi)))
+        assert sorted(seen) == slabs
+
+    def test_an_exception_in_a_worker_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(spindj.core, "_WORKERS", 2)
+        out = np.empty((1024, spindj.core._MIN_SLAB_BYTES // 512 // 16), dtype=complex)  # two slabs
+        threads_before = threading.active_count()
+        caller = threading.get_ident()
+        filled = []
+
+        def fill(lo, hi):
+            off_caller = threading.get_ident() != caller
+            if lo > 0:
+                raise RuntimeError(f"slab {lo}:{hi} failed, off the caller's thread: {off_caller}")
+            filled.append((lo, hi))
+
+        with pytest.raises(RuntimeError, match="512:1024 failed, off the caller's thread: True"):
+            spindj.core._by_row_slabs(out, fill)
+        assert filled == [(0, 512)]
+        assert threading.active_count() == threads_before
 
 
 class TestStateValidation:

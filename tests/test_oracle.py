@@ -87,6 +87,12 @@ class TestTruthTable:
         table = TruthTable.from_string("0110")
         assert [table(x) for x in range(4)] == [0, 1, 1, 0]
 
+    @pytest.mark.parametrize("x", [-1, 4])
+    def test_lookup_refuses_arguments_outside_the_table(self, x):
+        # numpy indexing would read -1 as f(3).
+        with pytest.raises(ValueError, match=f"argument {x} out of range 0..3"):
+            TruthTable.from_string("0001")(x)
+
 
 class TestClassify:
     @pytest.mark.parametrize(
