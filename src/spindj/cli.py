@@ -16,7 +16,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -52,10 +51,20 @@ EXIT_CAPACITY = 4
 MAX_TRIALS = 10**6
 _GENERATED_SOURCES = ("constant0", "constant1", "balanced-random", "random")
 _DEFAULT_THERMAL_P = 1e-5
-# The report's config block, in order.
+# The report's config block, in order; a sweep's adds its range end and trial count.
 _REPORT_FIELDS = (
     "n", "oracle", "seed", "backend", "detection", "epsilon", "thermal_p", "tolerance", "max_spins"
 )
+
+
+def _config_block(args: argparse.Namespace) -> dict:
+    keys = _REPORT_FIELDS + (("n_max", "trials") if args.command == "sweep" else ())
+    return {key: getattr(args, key) for key in keys}
+
+
+def _system(args: argparse.Namespace, n: int) -> SpinSystem:
+    """The register a run on ``n`` inputs builds under these flags."""
+    return SpinSystem(n, has_detection_spin=(args.detection == "separate"))
 
 
 class UsageError(Exception):
@@ -71,32 +80,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass
-class ExperimentConfig:
-    command: str
-    n: int | None = None
-    n_max: int | None = None
-    oracle: str | None = None
-    seed: int | None = None
-    backend: str = "diagonal"
-    detection: str = "ancilla"
-    epsilon: float | None = None
-    thermal_p: float | None = None
-    tolerance: float = DEFAULT_SIGNAL_TOL
-    trials: int = 20
-    fmt: str = "json"
-    out: str | None = None
-    max_spins: int | None = None
-
-    def as_dict(self) -> dict:
-        keys = _REPORT_FIELDS + (("n_max", "trials") if self.command == "sweep" else ())
-        return {key: getattr(self, key) for key in keys}
-
-    def system(self, n: int) -> SpinSystem:
-        """The register a run on ``n`` inputs builds under this config."""
-        return SpinSystem(n, has_detection_spin=(self.detection == "separate"))
 
 
 def _checked(convert: Callable, ok: Callable, rule: str) -> Callable:
@@ -147,9 +130,15 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spindj", description=__doc__)
+    # Every command reads every field. The subparsers suppress their own
+    # defaults (they do not inherit argument_default), so a flag that is
+    # left out, or that a command does not have, keeps the value set here.
+    parser.set_defaults(
+        n=None, oracle=None, seed=None, backend="diagonal", detection="ancilla",
+        epsilon=None, thermal_p=None, tolerance=DEFAULT_SIGNAL_TOL, trials=20,
+        fmt="json", out=None, max_spins=None,
+    )
     commands = parser.add_subparsers(dest="command", required=True)
-    # Flags left out stay out of the namespace, so ExperimentConfig's
-    # defaults apply; subparsers do not inherit argument_default.
     suppress = argparse.SUPPRESS
 
     run = commands.add_parser("run", help="run one experiment", argument_default=suppress)
@@ -195,17 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_table(cfg: ExperimentConfig) -> TruthTable:
+def _resolve_table(args: argparse.Namespace) -> TruthTable:
     """Build or load the table; :func:`_ensure_fits` runs before a
     generated table is allocated, and a file's --n and capacity are
     checked from its data line's length before the line is parsed."""
-    source, n, seed = cfg.oracle, cfg.n, cfg.seed
+    source, n, seed = args.oracle, args.n, args.seed
     if source in _GENERATED_SOURCES:
         if n is None:
             raise UsageError(f"--n is required with --oracle {source}")
         if seed is None and source not in ("constant0", "constant1"):
             raise UsageError(f"--seed is required with --oracle {source}")
-        _ensure_fits(cfg, n)
+        _ensure_fits(args, n)
         if source == "constant0":
             return TruthTable.constant(n, 0)
         if source == "constant1":
@@ -218,11 +207,11 @@ def _resolve_table(cfg: ExperimentConfig) -> TruthTable:
     arity = table_arity(len(line))
     if n is not None and arity != n:
         raise UsageError(f"--n {n} does not match table arity {arity} from {path}")
-    _ensure_fits(cfg, arity)
+    _ensure_fits(args, arity)
     return TruthTable.from_string(line)
 
 
-def _ensure_fits(cfg: ExperimentConfig, n: int) -> None:
+def _ensure_fits(args: argparse.Namespace, n: int) -> None:
     """Raise :class:`CapacityError` if ``n`` inputs exceed a backend the command uses.
 
     The pseudo-pure baseline runs dense, and the dense limit is the lower
@@ -230,35 +219,35 @@ def _ensure_fits(cfg: ExperimentConfig, n: int) -> None:
     ``spindj oracle``, the inputs and the ancilla meet the diagonal limit.
     A --max-spins above that backend's default limit is warned about on stderr.
     """
-    n_spins = cfg.system(n).n_spins
-    causes = [f"--backend {cfg.backend}"] if cfg.backend in ("dense", "both") else []
-    if _epsilon(cfg, n_spins) is not None:
-        flag = "--epsilon" if cfg.epsilon is not None else "--thermal-p"
-        causes.append("the sweep's pseudo-pure baseline" if cfg.command == "sweep"
+    n_spins = _system(args, n).n_spins
+    causes = [f"--backend {args.backend}"] if args.backend in ("dense", "both") else []
+    if _epsilon(args, n_spins) is not None:
+        flag = "--epsilon" if args.epsilon is not None else "--thermal-p"
+        causes.append("the sweep's pseudo-pure baseline" if args.command == "sweep"
                       else f"the pseudo-pure baseline that {flag} asks for")
     backend = "dense" if causes else "diagonal"
-    if cfg.max_spins is not None and cfg.max_spins > SPIN_LIMITS[backend]:
+    if args.max_spins is not None and args.max_spins > SPIN_LIMITS[backend]:
         print(
-            f"warning: capacity limit raised to {cfg.max_spins} spins; may exhaust memory",
+            f"warning: capacity limit raised to {args.max_spins} spins; may exhaust memory",
             file=sys.stderr,
         )
     try:
-        ensure_capacity(n_spins, backend, cfg.max_spins)
+        ensure_capacity(n_spins, backend, args.max_spins)
     except CapacityError as exc:
         if causes:
             raise CapacityError(f"{exc} (used by {' and '.join(causes)})") from None
         raise
 
 
-def _epsilon(cfg: ExperimentConfig, n_spins: int) -> float | None:
+def _epsilon(args: argparse.Namespace, n_spins: int) -> float | None:
     """The baseline's prefactor on ``n_spins``: --epsilon, or epsilon(N)
     from --thermal-p (the default p for a sweep); ``None`` where the
     command runs no baseline. Below the smallest normal float it is a
     usage error, so the ratio 1/eps stays finite."""
-    if cfg.epsilon is not None:
-        flag, epsilon = "--epsilon", cfg.epsilon
-    elif cfg.thermal_p is not None or cfg.command == "sweep":
-        p = _DEFAULT_THERMAL_P if cfg.thermal_p is None else cfg.thermal_p
+    if args.epsilon is not None:
+        flag, epsilon = "--epsilon", args.epsilon
+    elif args.thermal_p is not None or args.command == "sweep":
+        p = _DEFAULT_THERMAL_P if args.thermal_p is None else args.thermal_p
         flag, epsilon = "--thermal-p", thermal_epsilon(n_spins, p)
     else:
         return None
@@ -289,14 +278,14 @@ def _record(protocol: str, n: int, oracle_class: OracleClass, outcome: Outcome, 
     }
 
 
-def cmd_run(cfg: ExperimentConfig) -> dict:
-    table = _resolve_table(cfg)
-    system = cfg.system(table.n)
+def cmd_run(args: argparse.Namespace) -> dict:
+    table = _resolve_table(args)
+    system = _system(args, table.n)
     oracle_class = classify(table)
-    epsilon = _epsilon(cfg, system.n_spins)
-    limits = {"tolerance": cfg.tolerance, "max_spins": cfg.max_spins}
+    epsilon = _epsilon(args, system.n_spins)
+    limits = {"tolerance": args.tolerance, "max_spins": args.max_spins}
 
-    backends = ("dense", "diagonal") if cfg.backend == "both" else (cfg.backend,)
+    backends = ("dense", "diagonal") if args.backend == "both" else (args.backend,)
     records = []
     for backend in backends:
         outcome, wall = _timed(run_liouville_dj, system, table, backend, **limits)
@@ -308,10 +297,10 @@ def cmd_run(cfg: ExperimentConfig) -> dict:
     report = {
         "version": "v1",
         "command": "run",
-        "config": cfg.as_dict(),
+        "config": _config_block(args),
         "records": records,
     }
-    if cfg.backend == "both":
+    if args.backend == "both":
         report["cross_check"] = abs(records[0]["signal"] - records[1]["signal"])
     if oracle_class is OracleClass.NEITHER:
         report["warnings"] = [
@@ -320,24 +309,24 @@ def cmd_run(cfg: ExperimentConfig) -> dict:
     return report
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> dict:
-    _ensure_fits(cfg, cfg.n_max)
-    rng = np.random.default_rng(cfg.seed)
+def cmd_sweep(args: argparse.Namespace) -> dict:
+    _ensure_fits(args, args.n_max)
+    rng = np.random.default_rng(args.seed)
 
     aggregates = []
-    for n in range(cfg.n, cfg.n_max + 1):
+    for n in range(args.n, args.n_max + 1):
         start = time.perf_counter()
-        system = cfg.system(n)
+        system = _system(args, n)
         constant = TruthTable.constant(n, 0)
-        liouville = run_liouville_dj(system, constant, max_spins=cfg.max_spins)
+        liouville = run_liouville_dj(system, constant, max_spins=args.max_spins)
         balanced_signals = []
         # One draw per row gives the same seeds, in order, as one draw per trial.
-        for seed in rng.integers(0, 2**63, size=cfg.trials):
+        for seed in rng.integers(0, 2**63, size=args.trials):
             table = random_balanced(n, int(seed))
-            outcome = run_liouville_dj(system, table, max_spins=cfg.max_spins)
+            outcome = run_liouville_dj(system, table, max_spins=args.max_spins)
             balanced_signals.append(abs(outcome.signal))
-        epsilon = _epsilon(cfg, system.n_spins)
-        pseudo = run_pseudo_pure_dj(system, constant, epsilon, max_spins=cfg.max_spins)
+        epsilon = _epsilon(args, system.n_spins)
+        pseudo = run_pseudo_pure_dj(system, constant, epsilon, max_spins=args.max_spins)
         worst_case = classical_dj(constant).evaluations
         wall = (time.perf_counter() - start) * 1e3
         aggregates.append(
@@ -357,20 +346,20 @@ def cmd_sweep(cfg: ExperimentConfig) -> dict:
     return {
         "version": "v1",
         "command": "sweep",
-        "config": cfg.as_dict(),
+        "config": _config_block(args),
         "aggregates": aggregates,
     }
 
 
-def cmd_oracle(cfg: ExperimentConfig) -> str:
-    table = _resolve_table(cfg)
+def cmd_oracle(args: argparse.Namespace) -> str:
+    table = _resolve_table(args)
     oracle_class = classify(table)
     lines = [f"n={table.n}, {oracle_class.value}, ones={table.ones}"]
     if oracle_class is OracleClass.NEITHER:
         lines.append(
             "warning: table is neither constant nor balanced; the promise is violated"
         )
-    system = cfg.system(table.n)
+    system = _system(args, table.n)
     if table.n <= 4:
         lines.append(f"reversible oracle on {system.dim} basis states (I0 first):")
         for index, image in enumerate(reversible_oracle(system, table).mapping):
@@ -400,21 +389,21 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(**vars(args))
-    if cfg.command == "sweep":
-        cfg.n, cfg.n_max = cfg.n
-    return cfg
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The flags every command reads; a sweep's ``A..B`` becomes ``n`` and ``n_max``."""
+    args = build_parser().parse_args(argv)
+    if args.command == "sweep":
+        args.n, args.n_max = args.n
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        cfg = _config_from_args(parser.parse_args(argv))
-        if cfg.command == "oracle":
-            sys.stdout.write(cmd_oracle(cfg))
+        args = parse_args(argv)
+        if args.command == "oracle":
+            sys.stdout.write(cmd_oracle(args))
         else:
-            _emit(cmd_run(cfg) if cfg.command == "run" else cmd_sweep(cfg), cfg.fmt, cfg.out)
+            _emit(cmd_run(args) if args.command == "run" else cmd_sweep(args), args.fmt, args.out)
         return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -131,9 +131,9 @@ class SpinSystem:
         return format(index, f"0{self.n_spins}b")
 
 
-def is_unitary_matrix(matrix: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+def is_unitary_matrix(matrix: np.ndarray) -> bool:
     prod = matrix @ matrix.conj().T
-    return bool(np.max(np.abs(prod - np.eye(matrix.shape[0]))) <= tol)
+    return bool(np.max(np.abs(prod - np.eye(matrix.shape[0]))) <= UNITARY_TOL)
 
 
 def _real_or_complex(values) -> np.ndarray:

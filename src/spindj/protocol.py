@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -79,7 +80,10 @@ def thermal_epsilon(n_spins: int, p: float) -> float:
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("polarization p must lie in (0, 1]")
-    # ldexp scales by 2^-N exactly and underflows to 0 where 2^N has no float.
+    # ldexp scales by 2^-N exactly and underflows to 0 where 2^N has no float,
+    # long before N itself has none and N*p would overflow.
+    if n_spins > sys.float_info.max:
+        return 0.0
     return math.ldexp(n_spins * p, -n_spins)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spindj.protocol as protocol
-from spindj.cli import ExperimentConfig, cmd_sweep
+from spindj.cli import cmd_sweep, parse_args
 from spindj.core import (
     DensityOperator,
     DiagonalState,
@@ -192,10 +192,10 @@ def test_criterion_5_classical_worst_case():
 
 def test_criterion_6_pseudo_pure_contrast():
     p = 1e-5
-    cfg = ExperimentConfig(
-        command="sweep", n=2, n_max=8, seed=7, trials=5, thermal_p=p
+    args = parse_args(
+        ["sweep", "--n", "2..8", "--seed", "7", "--trials", "5", "--thermal-p", str(p)]
     )
-    aggregates = cmd_sweep(cfg)["aggregates"]
+    aggregates = cmd_sweep(args)["aggregates"]
 
     worst_rel = 0.0
     for row in aggregates:

@@ -204,6 +204,13 @@ class TestRunCommand:
         assert code == 3
         assert out == ""
         assert err == "truth table error: truth table characters must be 0/1, got 'x' at position 8192\n"
+        # A character that ASCII cannot encode, through a file: source.
+        path = tmp_path / "accent.tt"
+        path.write_bytes("0é01\n".encode())
+        code, out, err = run_cli(capsys, "run", "--oracle", f"file:{path}")
+        assert code == 3
+        assert out == ""
+        assert err == "truth table error: truth table characters must be 0/1, got 'é' at position 1\n"
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_n_must_be_positive(self, capsys, value):
@@ -695,6 +702,10 @@ class TestFlagRules:
             ("--epsilon", ("run", "--n", "40", "--oracle", "constant0", "--epsilon", "1e-320")),
             # 2^2001 has no float: epsilon(N) underflows to 0
             ("--thermal-p", ("run", "--n", "2000", "--oracle", "constant0", "--thermal-p", "1e-5")),
+            # nor has N itself, so N*p cannot be formed as a float
+            ("--thermal-p", ("sweep", "--n", f"1..{10**400}", "--seed", "1")),
+            ("--thermal-p",
+             ("run", "--n", str(10**400), "--oracle", "constant0", "--thermal-p", "0.5")),
         ],
     )
     def test_epsilon_below_the_smallest_normal_float_is_a_usage_error(self, capsys, flag, argv):
@@ -703,6 +714,7 @@ class TestFlagRules:
         assert out == ""
         assert err.startswith(f"usage error: argument {flag}: epsilon = ")
         assert "smallest normal float" in err and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_smallest_normal_epsilon_keeps_the_ratio_finite(self, capsys):
         code, out, _ = run_cli(
@@ -826,7 +838,7 @@ BAD_NUMBERS = ["0", "-1", "-1e-6", "nan", "inf", str(2**64), "abc", "6..2"]
 # Past (0, 1], or in it but giving an epsilon below the smallest normal float.
 BAD_PREFACTORS = BAD_NUMBERS + ["2", "5e-324", "1e-320"]
 SMALL_N = st.integers(1, 6).map(str)
-OVER_CAPACITY_N = st.sampled_from(["30", "40"])
+OVER_CAPACITY_N = st.sampled_from(["30", "40", str(10**400)])
 # What each flag's own rule refuses, at parse time (REFUSED) or once the
 # run works out epsilon(N) (REFUSED_LATER: below the smallest normal float).
 # A complete, valid argv with one value swapped for one of these must exit
@@ -895,7 +907,8 @@ def cli_argv(draw, table_dir):
             lambda r: "{}..{}".format(*sorted(r))
         )
         values["--n"] = _values(
-            st.one_of(ranges, SMALL_N), BAD_NUMBERS + ["1..30", "14..16", "1..", "..3", "0..3"]
+            st.one_of(ranges, SMALL_N),
+            BAD_NUMBERS + ["1..30", "14..16", f"1..{10**400}", "1..", "..3", "0..3"],
         )
         required = ["--n", "--seed"]
     else:

@@ -118,6 +118,9 @@ class TestSpinSystem:
             system.basis_index("0")
         with pytest.raises(ValueError):
             system.basis_index("02")
+        for index in (-1, system.dim):
+            with pytest.raises(ValueError, match=f"basis index {index} out of range"):
+                system.basis_label(index)
 
     def test_capacity_limits(self):
         ensure_capacity(13, "dense")
@@ -330,6 +333,12 @@ class TestConjugate:
             conjugate(state, np.array([[0, 1], [1, 0]]))
         with pytest.raises(TypeError):
             conjugate(to_dense(state), np.array([[0, 1], [1, 0]]))
+
+    def test_dimension_mismatch_rejected(self):
+        swap = BasisPermutation(0, np.ones(1, dtype=bool))  # on one spin
+        for state in (DiagonalState([0.25] * 4), DensityOperator(np.eye(4) / 4)):
+            with pytest.raises(ValueError, match="dimension mismatch between state and transform"):
+                conjugate(state, swap)
 
     def test_dense_and_diagonal_agree_exhaustively(self):
         # every XOR map at N <= 5 on every basis state
@@ -727,6 +736,18 @@ class TestStateValidation:
         # The inf pair must not reach the Hermiticity subtraction (inf - inf warns).
         with pytest.raises(ValueError, match=message):
             DensityOperator(matrix)
+
+    @pytest.mark.parametrize(
+        "kind, value, message",
+        [(Operator, np.zeros((2, 3)), "operator matrix must be square"),
+         (Operator, np.zeros(4), "operator matrix must be square"),
+         (DensityOperator, np.zeros((2, 3)), "density matrix must be square"),
+         (DensityOperator, np.zeros(4), "density matrix must be square"),
+         (DiagonalState, np.eye(2) / 2, "populations must be a vector")],
+    )
+    def test_matrices_must_be_square_and_populations_a_vector(self, kind, value, message):
+        with pytest.raises(ValueError, match=message):
+            kind(value)
 
     def test_real_weighted_sums_allowed(self):
         system = SpinSystem(1)

@@ -59,6 +59,8 @@ class TestTruthTable:
             TruthTable([0.5, 1.0])
         with pytest.raises(TruthTableError):
             TruthTable.from_string("01x1")
+        with pytest.raises(TruthTableError, match="constant value must be 0 or 1"):
+            TruthTable.constant(2, 2)
 
     def test_a_valid_uint8_table_is_checked_without_a_mask(self):
         # numpy reports its buffers to tracemalloc; a 2^20-entry mask is 1 MiB.
@@ -235,6 +237,8 @@ class TestRandomTables:
     def test_rejects_bad_arity(self):
         with pytest.raises(ValueError):
             random_balanced(0, 1)
+        with pytest.raises(ValueError, match="arity must be at least 1"):
+            random_table(0, 1)
 
 
 class TestTableFiles:
@@ -262,6 +266,8 @@ class TestTableFiles:
     def test_parse_rejects_bad_characters(self, tmp_path):
         with pytest.raises(TruthTableError, match="'i' at position 2"):
             self.load(tmp_path, "01i0\n")
+        with pytest.raises(TruthTableError, match="'é' at position 1$"):
+            TruthTable.from_string("0é01")
 
     def test_parse_rejects_non_power_of_two(self, tmp_path):
         with pytest.raises(TruthTableError, match="power of two"):

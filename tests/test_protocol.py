@@ -99,6 +99,9 @@ class TestClassifySignal:
     def test_tolerance_boundary(self):
         assert classify_signal(0.5, tol=0.4) is Verdict.CONSTANT0
         assert classify_signal(0.5, tol=0.6) is Verdict.BALANCED
+        # --tolerance: a signal within +-sigma, bounds included, reads balanced
+        assert classify_signal(0.5, tol=0.5) is Verdict.BALANCED
+        assert classify_signal(-0.5, tol=0.5) is Verdict.BALANCED
 
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
@@ -485,6 +488,7 @@ class TestThermalEpsilon:
     def test_underflows_to_zero_where_two_to_the_n_has_no_float(self):
         assert thermal_epsilon(1100, 1e-5) == 0.0
         assert thermal_epsilon(1100, 1.0) == 0.0
+        assert thermal_epsilon(10**400, 0.5) == 0.0
 
     def test_rejects_bad_polarization(self):
         with pytest.raises(ValueError):
