@@ -44,7 +44,7 @@ class TruthTable:
     register's ordering (I1 most significant input bit).
     """
 
-    __slots__ = ("n", "bits")
+    __slots__ = ("bits",)
 
     def __init__(self, bits):
         try:
@@ -53,7 +53,7 @@ class TruthTable:
             raise TruthTableError(f"truth table must be a vector: {exc}") from None
         if array.ndim != 1:
             raise TruthTableError(f"truth table must be a vector, got {array.ndim} dimensions")
-        self.n = table_arity(array.shape[0])
+        table_arity(array.shape[0])
         # Compare before casting: a cast would read 0.7 as 0, and 256 too. A uint8
         # table is checked by one reduction; only a bad one builds a 2^n mask.
         if array.dtype != np.uint8 or np.maximum.reduce(array) > 1:
@@ -97,11 +97,15 @@ class TruthTable:
         return self.bits.shape[0]
 
     @property
+    def n(self) -> int:
+        return self.bits.shape[0].bit_length() - 1
+
+    @property
     def ones(self) -> int:
         return int(np.count_nonzero(self.bits))
 
     def to_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return (self.bits + np.uint8(ord("0"))).tobytes().decode("ascii")
 
     def __repr__(self) -> str:
         return f"TruthTable(n={self.n}, bits={self.to_string()!r})"

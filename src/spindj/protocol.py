@@ -35,10 +35,9 @@ from .core import (
     embed,
     ensure_capacity,
     to_dense,
-    zeeman_product_state,
 )
 from .oracle import OracleClass, TruthTable, classify, oracle_channel, reversible_oracle
-from .pulses import crusher, fanout_unitary, rotation_unitary
+from .pulses import fanout_unitary
 
 DEFAULT_SIGNAL_TOL = 1e-6
 
@@ -99,19 +98,6 @@ def prepare_liouville_input(system: SpinSystem) -> DiagonalState:
     # Axes: I0, the inputs as one axis, the detection spin (length 1 if absent).
     populations.reshape(2, 1 << system.n_inputs, -1)[0, :, 0] = 1.0 / (1 << system.n_inputs)
     return DiagonalState(populations, check=False)
-
-
-def prepare_liouville_input_pulsed(system: SpinSystem) -> DiagonalState:
-    """The same state built the way the experiment does it.
-
-    Starting from the idealized (fully polarized) equilibrium, a hard
-    90-degree pulse hits all input spins but not I0, then the crusher
-    removes the coherences. Agrees with the closed form to float
-    precision; kept separate because it needs a dense intermediate.
-    """
-    equilibrium = zeeman_product_state(system, "0" * system.n_spins)
-    pulse = rotation_unitary(system, "x", np.pi / 2.0, system.inputs)
-    return crusher(conjugate(equilibrium, pulse))
 
 
 def classify_signal(signal: float, tol: float = DEFAULT_SIGNAL_TOL) -> Verdict:
@@ -204,7 +190,7 @@ def run_pseudo_pure_dj(
 
     ``tolerance`` is the detection-noise floor sigma. A signal of at most
     2 sigma cannot be told from noise, so when eps <= 2 sigma the verdict
-    is UNDECIDED; otherwise it is CONSTANT0 above eps/2 and BALANCED below.
+    is UNDECIDED; otherwise :func:`classify_signal` decides at eps/2.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
@@ -227,12 +213,7 @@ def run_pseudo_pure_dj(
     # the block sums over the ancilla and the detection spin.
     block = state.populations.reshape(2, 1 << system.n_inputs, -1)[:, 0].sum()
     signal = epsilon * float(block)
-    if epsilon <= 2.0 * tolerance:
-        verdict = Verdict.UNDECIDED
-    elif signal > epsilon / 2.0:
-        verdict = Verdict.CONSTANT0
-    else:
-        verdict = Verdict.BALANCED
+    verdict = Verdict.UNDECIDED if epsilon <= 2.0 * tolerance else classify_signal(signal, epsilon / 2.0)
     return Outcome(signal, verdict, 1, "dense")
 
 
@@ -252,7 +233,6 @@ def classical_dj(table: TruthTable, order: Sequence[int] | None = None) -> Outco
     needed = size // 2 + 1
 
     first = None
-    evaluations = 0
     seen: set[int] = set()
     for x in queries:
         x = operator.index(x)  # refuses 1.9 rather than truncating it
@@ -260,12 +240,11 @@ def classical_dj(table: TruthTable, order: Sequence[int] | None = None) -> Outco
             raise ValueError("query order must be distinct inputs within range")
         seen.add(x)
         answer = table(x)
-        evaluations += 1
         if first is None:
             first = answer
         elif answer != first:
-            return Outcome(0.0, Verdict.BALANCED, evaluations, "classical")
-        if evaluations == needed:
+            return Outcome(0.0, Verdict.BALANCED, len(seen), "classical")
+        if len(seen) == needed:
             verdict = Verdict.CONSTANT0 if first == 0 else Verdict.CONSTANT1
-            return Outcome(1.0 if first == 0 else -1.0, verdict, evaluations, "classical")
-    raise ValueError(f"query order exhausted after {evaluations} queries without a decision")
+            return Outcome(1.0 if first == 0 else -1.0, verdict, needed, "classical")
+    raise ValueError(f"query order exhausted after {len(seen)} queries without a decision")

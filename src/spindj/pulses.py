@@ -22,7 +22,9 @@ from .core import (
     DiagonalState,
     Operator,
     SpinSystem,
+    conjugate,
     embed,
+    zeeman_product_state,
 )
 
 _AXES = ("x", "y")
@@ -56,6 +58,20 @@ def crusher(state: DensityOperator) -> DiagonalState:
     preserved exactly.
     """
     return DiagonalState(state.populations.copy(), check=False)
+
+
+def prepare_liouville_input_pulsed(system: SpinSystem) -> DiagonalState:
+    """The Liouville input built the way the experiment does it.
+
+    Starting from the idealized (fully polarized) equilibrium, a hard
+    90-degree pulse hits all input spins but not I0, then the crusher
+    removes the coherences. Agrees with the closed form
+    :func:`spindj.protocol.prepare_liouville_input` to float precision;
+    kept apart from it because it needs a dense intermediate.
+    """
+    equilibrium = zeeman_product_state(system, "0" * system.n_spins)
+    pulse = rotation_unitary(system, "x", np.pi / 2.0, system.inputs)
+    return crusher(conjugate(equilibrium, pulse))
 
 
 def fanout_unitary(system: SpinSystem, control: int, target: int) -> BasisPermutation:

@@ -34,6 +34,11 @@ class TestTruthTable:
     def test_arity_inferred_from_length(self):
         assert TruthTable.from_string("0110").n == 2
         assert TruthTable.from_string("01").n == 1
+        # The arity is derived from the bits, so it cannot be set apart from them.
+        table = TruthTable.from_string("0011")
+        with pytest.raises(AttributeError):
+            table.n = 7
+        assert table.n == 2
 
     def test_rejects_bad_lengths(self):
         with pytest.raises(TruthTableError):
@@ -88,6 +93,8 @@ class TestTruthTable:
     def test_lookup(self):
         table = TruthTable.from_string("0110")
         assert [table(x) for x in range(4)] == [0, 1, 1, 0]
+        table = random_table(10, 77)
+        assert table.to_string() == "".join(str(table(x)) for x in range(len(table)))
 
     @pytest.mark.parametrize("x", [-1, 4])
     def test_lookup_refuses_arguments_outside_the_table(self, x):

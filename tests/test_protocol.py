@@ -37,11 +37,11 @@ from spindj.protocol import (
     classical_dj,
     classify_signal,
     prepare_liouville_input,
-    prepare_liouville_input_pulsed,
     run_liouville_dj,
     run_pseudo_pure_dj,
     thermal_epsilon,
 )
+from spindj.pulses import prepare_liouville_input_pulsed
 
 from reference import pseudo_pure_matrix
 
@@ -502,6 +502,11 @@ class TestClassical:
         out = classical_dj(TruthTable.constant(2, 0))
         assert out.evaluations == 3
         assert out.verdict is Verdict.CONSTANT0
+        assert out.signal == 1.0
+        out = classical_dj(TruthTable.constant(2, 1))
+        assert out.evaluations == 3
+        assert out.verdict is Verdict.CONSTANT1
+        assert out.signal == -1.0
 
     def test_constant_count_is_order_independent(self):
         for order in itertools.permutations(range(4)):
@@ -513,6 +518,7 @@ class TestClassical:
         out = classical_dj(TruthTable.from_string("0110"), order=[0, 1, 2, 3])
         assert out.evaluations == 2
         assert out.verdict is Verdict.BALANCED
+        assert out.signal == 0.0
 
     def test_worst_case_balanced_order(self):
         # first four answers identical, fifth must differ
@@ -535,6 +541,7 @@ class TestClassical:
         out = classical_dj(TruthTable.from_string("0001"))
         assert out.verdict is Verdict.PROMISE_VIOLATED
         assert out.evaluations == 0
+        assert out.signal == 0.0
 
     def test_half_table_agreement_witness(self):
         # a constant and a balanced table answering identically on the
