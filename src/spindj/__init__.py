@@ -20,8 +20,6 @@ from .core import (
     pauli_z,
     polarization_operator,
     to_dense,
-    von_neumann_entropy,
-    zeeman_product_state,
 )
 from .oracle import (
     OracleClass,
@@ -43,7 +41,8 @@ from .protocol import (
     run_pseudo_pure_dj,
     thermal_epsilon,
 )
-from .pulses import crusher, fanout_unitary, inversion_unitary, rotation_unitary
+from .pulses import (crusher, fanout_unitary, inversion_unitary, rotation_unitary,
+                     von_neumann_entropy, zeeman_product_state)
 
 __version__ = "0.1.0"
 

@@ -203,6 +203,8 @@ def _resolve_table(args: argparse.Namespace) -> TruthTable:
             return random_balanced(n, seed)
         return random_table(n, seed)
     path = source[5:] if source.startswith("file:") else source
+    if not path:  # open() would read it as the current directory
+        raise UsageError(f"argument --oracle: {source!r} names no table file")
     line = read_data_line(path)
     arity = table_arity(len(line))
     if n is not None and arity != n:

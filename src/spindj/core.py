@@ -15,6 +15,7 @@ detection spin (when present) is the least significant bit. The alpha
 
 from __future__ import annotations
 
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -43,7 +44,6 @@ _MIN_SLAB_BYTES = 32 << 20
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
 POPULATION_TOL = 1e-12
-EIGENVALUE_FLOOR = 1e-15
 
 _ID2 = np.eye(2)
 _ALPHA_PROJECTOR = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -83,6 +83,7 @@ class SpinSystem:
     has_detection_spin: bool = False
 
     def __post_init__(self) -> None:
+        operator.index(self.n_inputs)  # refuses 1.5 here, not later in dim
         if self.n_inputs < 1:
             raise ValueError("a register needs at least one input spin")
 
@@ -209,7 +210,7 @@ class BasisPermutation:
         return _masked_swap(np.arange(self.dim), self)
 
     def to_operator(self) -> Operator:
-        matrix = np.zeros((self.dim, self.dim), dtype=complex)
+        matrix = np.zeros((self.dim, self.dim))
         matrix[self.mapping, np.arange(self.dim)] = 1.0
         return Operator(matrix, unitary=True, check=False)
 
@@ -360,14 +361,6 @@ def pauli_z_diagonal(system: SpinSystem, spin: int) -> np.ndarray:
     return 1.0 - 2.0 * ((np.arange(system.dim) >> pos) & 1)
 
 
-def zeeman_product_state(system: SpinSystem, config: str) -> DensityOperator:
-    """Projector onto one Zeeman product state, e.g. ``"010"`` (0=alpha)."""
-    index = system.basis_index(config)
-    matrix = np.zeros((system.dim, system.dim), dtype=complex)
-    matrix[index, index] = 1.0
-    return DensityOperator(matrix, check=False)
-
-
 def expectation(state: DensityOperator | DiagonalState, observable: Operator) -> float:
     """Tr(rho * O) for a Hermitian observable.
 
@@ -478,13 +471,3 @@ def to_dense(state: DiagonalState) -> DensityOperator:
         diagonal[lo:hi] = populations[lo:hi]
 
     return DensityOperator(_by_row_slabs(out, fill), check=False)
-
-
-def von_neumann_entropy(state: DensityOperator | DiagonalState) -> float:
-    """Entropy -sum(lambda * ln(lambda)) in nats; eigenvalues below 1e-15 drop out."""
-    if isinstance(state, DiagonalState):
-        eigenvalues = state.populations
-    else:
-        eigenvalues = np.linalg.eigvalsh(state.matrix)
-    support = eigenvalues[eigenvalues > EIGENVALUE_FLOOR]
-    return float(-np.sum(support * np.log(support)))

@@ -79,6 +79,8 @@ def thermal_epsilon(n_spins: int, p: float) -> float:
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("polarization p must lie in (0, 1]")
+    if n_spins < 1:
+        raise ValueError("a register needs at least one spin")
     # ldexp scales by 2^-N exactly and underflows to 0 where 2^N has no float,
     # long before N itself has none and N*p would overflow.
     if n_spins > sys.float_info.max:
@@ -236,10 +238,10 @@ def classical_dj(table: TruthTable, order: Sequence[int] | None = None) -> Outco
     seen: set[int] = set()
     for x in queries:
         x = operator.index(x)  # refuses 1.9 rather than truncating it
-        if not 0 <= x < size or x in seen:
-            raise ValueError("query order must be distinct inputs within range")
+        if x in seen:
+            raise ValueError(f"query order repeats input {x}")
         seen.add(x)
-        answer = table(x)
+        answer = table(x)  # refuses an input outside the table
         if first is None:
             first = answer
         elif answer != first:

@@ -1,4 +1,5 @@
-"""Idealized pulse operations: hard rotations, the gradient crusher, FANOUT, inversion.
+"""The pulse-level model: the equilibrium Zeeman state, hard rotations, the
+gradient crusher, FANOUT, inversion and the von Neumann entropy.
 
 Pulses are "hard" in the usual sense: instantaneous single-spin rotations
 with no off-resonance or coupling evolution. The crusher is modeled as
@@ -24,10 +25,18 @@ from .core import (
     SpinSystem,
     conjugate,
     embed,
-    zeeman_product_state,
 )
 
+EIGENVALUE_FLOOR = 1e-15
 _AXES = ("x", "y")
+
+
+def zeeman_product_state(system: SpinSystem, config: str) -> DensityOperator:
+    """Projector onto one Zeeman product state, e.g. ``"010"`` (0=alpha)."""
+    index = system.basis_index(config)
+    matrix = np.zeros((system.dim, system.dim), dtype=complex)
+    matrix[index, index] = 1.0
+    return DensityOperator(matrix, check=False)
 
 
 def rotation_unitary(
@@ -80,10 +89,7 @@ def fanout_unitary(system: SpinSystem, control: int, target: int) -> BasisPermut
     With the target prepared in alpha this copies the control's classical
     value (a controlled-NOT on basis states).
     """
-    system.check_spin(control)
-    system.check_spin(target)
-    if control == target:
-        raise ValueError("fanout control and target must differ")
+    system.check_spin(control)  # a negative control would index shape from the end
     shape = [1] * system.n_spins
     shape[control] = 2
     return BasisPermutation(target, np.array([False, True]).reshape(shape))
@@ -91,5 +97,14 @@ def fanout_unitary(system: SpinSystem, control: int, target: int) -> BasisPermut
 
 def inversion_unitary(system: SpinSystem, target: int) -> BasisPermutation:
     """Pi pulse on one spin as the alpha/beta-swapping basis permutation."""
-    system.check_spin(target)
     return BasisPermutation(target, np.ones((1,) * system.n_spins, dtype=bool))
+
+
+def von_neumann_entropy(state: DensityOperator | DiagonalState) -> float:
+    """Entropy -sum(lambda * ln(lambda)) in nats; eigenvalues below 1e-15 drop out."""
+    if isinstance(state, DiagonalState):
+        eigenvalues = state.populations
+    else:
+        eigenvalues = np.linalg.eigvalsh(state.matrix)
+    support = eigenvalues[eigenvalues > EIGENVALUE_FLOOR]
+    return float(-np.sum(support * np.log(support)))

@@ -22,7 +22,6 @@ from spindj.core import (
     pauli_z,
     polarization_operator,
     to_dense,
-    von_neumann_entropy,
 )
 from spindj.oracle import (
     TruthTable,
@@ -36,7 +35,12 @@ from spindj.protocol import (
     prepare_liouville_input,
     run_liouville_dj,
 )
-from spindj.pulses import fanout_unitary, inversion_unitary, rotation_unitary
+from spindj.pulses import (
+    fanout_unitary,
+    inversion_unitary,
+    rotation_unitary,
+    von_neumann_entropy,
+)
 
 from reference import is_permutation_matrix
 

@@ -322,6 +322,10 @@ class TestRunCommand:
         path.write_text("0110\n")
         code, _, _ = run_cli(capsys, "run", "--n", "3", "--oracle", str(path))
         assert code == 1
+        # An empty path names no file, rather than the current directory.
+        for argv in (("run", "--oracle", "file:"), ("run", "--oracle", ""),
+                     ("oracle", "--oracle", "file:")):
+            assert_usage_error(capsys, "--oracle", *argv)
 
     @pytest.mark.parametrize("value", ["0", "-1e-6", "nan", "inf"])
     def test_tolerance_must_be_positive_and_finite(self, capsys, value):

@@ -26,8 +26,6 @@ from spindj.core import (
     pauli_z_diagonal,
     polarization_operator,
     to_dense,
-    von_neumann_entropy,
-    zeeman_product_state,
 )
 from spindj.oracle import TruthTable, random_balanced, reversible_oracle
 from spindj.pulses import (
@@ -35,6 +33,8 @@ from spindj.pulses import (
     fanout_unitary,
     inversion_unitary,
     rotation_unitary,
+    von_neumann_entropy,
+    zeeman_product_state,
 )
 
 from reference import is_permutation_matrix
@@ -111,6 +111,8 @@ class TestSpinSystem:
     def test_rejects_empty_register(self):
         with pytest.raises(ValueError):
             SpinSystem(0)
+        with pytest.raises(TypeError):  # a fractional count, not carried into n_spins
+            SpinSystem(1.5)
 
     def test_bad_config_strings(self):
         system = SpinSystem(1)

@@ -10,7 +10,6 @@ from spindj.core import (
     DiagonalState,
     SpinSystem,
     to_dense,
-    zeeman_product_state,
 )
 from spindj.oracle import (
     OracleClass,
@@ -23,6 +22,7 @@ from spindj.oracle import (
     read_data_line,
     reversible_oracle,
 )
+from spindj.pulses import zeeman_product_state
 
 
 def all_tables(n):

@@ -22,7 +22,6 @@ from spindj.core import (
     expectation,
     pauli_z,
     polarization_operator,
-    von_neumann_entropy,
 )
 from spindj.oracle import (
     TruthTable,
@@ -41,7 +40,7 @@ from spindj.protocol import (
     run_pseudo_pure_dj,
     thermal_epsilon,
 )
-from spindj.pulses import prepare_liouville_input_pulsed
+from spindj.pulses import prepare_liouville_input_pulsed, von_neumann_entropy
 
 from reference import pseudo_pure_matrix
 
@@ -495,6 +494,9 @@ class TestThermalEpsilon:
             thermal_epsilon(3, 0.0)
         with pytest.raises(ValueError):
             thermal_epsilon(3, 1.5)
+        for n_spins in (0, -1):  # a register with no spins has no prefactor
+            with pytest.raises(ValueError):
+                thermal_epsilon(n_spins, 0.5)
 
 
 class TestClassical:
@@ -563,6 +565,8 @@ class TestClassical:
             classical_dj(table, order=[0, 0, 1, 2])
         with pytest.raises(ValueError):
             classical_dj(table, order=[0, 9, 1, 2])
+        with pytest.raises(ValueError):
+            classical_dj(table, order=[0, -1, 1, 2])
         # A fractional query is refused, not truncated to another input.
         with pytest.raises(TypeError):
             classical_dj(TruthTable.from_string("0011"), order=[0.5, 1.9, 2.2])

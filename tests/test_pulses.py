@@ -9,13 +9,13 @@ from spindj.core import (
     conjugate,
     is_unitary_matrix,
     to_dense,
-    zeeman_product_state,
 )
 from spindj.pulses import (
     crusher,
     fanout_unitary,
     inversion_unitary,
     rotation_unitary,
+    zeeman_product_state,
 )
 
 from reference import is_permutation_matrix
@@ -139,10 +139,12 @@ class TestFanout:
         system = SpinSystem(1, has_detection_spin=True)
         op = fanout_unitary(system, 0, 2).to_operator()
         assert is_permutation_matrix(op.matrix)
+        assert op.matrix.dtype == np.float64  # real entries stay float64
 
     def test_rejects_equal_control_and_target(self):
-        with pytest.raises(ValueError):
-            fanout_unitary(SpinSystem(2), 1, 1)
+        for control, target in ((1, 1), (0, -1), (0, 7)):
+            with pytest.raises(ValueError):
+                fanout_unitary(SpinSystem(2), control, target)
 
 
 class TestInversion:
@@ -180,5 +182,6 @@ class TestInversion:
             )
 
     def test_rejects_invalid_target(self):
-        with pytest.raises(ValueError):
-            inversion_unitary(SpinSystem(1), 7)
+        for target in (7, -1):
+            with pytest.raises(ValueError):
+                inversion_unitary(SpinSystem(1), target)
