@@ -4,6 +4,8 @@ Three state types cover the protocol's needs over the ``2**N`` Zeeman
 product basis: a dense complex density matrix, a real population vector
 for states diagonal in that basis (the common case, since the gradient
 crusher removes all coherences), and the amplitude vector of a pure state.
+The protocol's ensemble, whose present configurations share one population,
+is a diagonal state stored as a one-byte occupancy and that population.
 Operators and amplitude vectors stay float64 while their entries are real
 and become complex128 only when they are not.
 
@@ -23,10 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 # Backend capacity: dense keeps full 2^N x 2^N complex matrices (~1 GiB at
-# N=13); the diagonal backend only stores a 2^N population vector.
+# N=13); the diagonal backend only stores a 2^N vector, one byte per
+# configuration for the protocol's occupancy.
 SPIN_LIMITS = {"dense": 13, "diagonal": 26}
-# The largest registers whose state numpy can index (8 * 2^N bytes of
-# populations, 16 * 4^N of matrix): 59 and 29 spins on a 64-bit build.
+# The largest registers whose state numpy can index (up to 8 * 2^N bytes of
+# float populations, 16 * 4^N of matrix): 59 and 29 spins on a 64-bit build.
 _INDEXABLE_SPINS = {
     "diagonal": (sys.maxsize // 8).bit_length() - 1,
     "dense": ((sys.maxsize // 16).bit_length() - 1) // 2,
@@ -272,16 +275,23 @@ class DiagonalState:
     """Population vector over the Zeeman basis (fast-path backend).
 
     Represents exactly the density operator whose diagonal equals
-    ``populations`` and whose off-diagonal part vanishes.
+    ``populations = scale * weights`` and whose off-diagonal part vanishes.
+    General states store float weights with ``scale`` 1. An ensemble whose
+    present configurations share one population stores a bool occupancy,
+    one byte per configuration, with that population as ``scale``.
     """
 
-    __slots__ = ("populations",)
+    __slots__ = ("weights", "scale")
 
-    def __init__(self, populations, *, check: bool = True):
-        populations = np.asarray(populations, dtype=float)
-        if populations.ndim != 1:
+    def __init__(self, weights, *, scale: float = 1.0, check: bool = True):
+        if not (isinstance(weights, np.ndarray) and weights.dtype == np.bool_):
+            weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 1:
             raise ValueError("populations must be a vector")
+        self.weights = weights
+        self.scale = scale
         if check:
+            populations = self.populations
             bad = np.flatnonzero(~np.isfinite(populations))
             if bad.size:
                 raise ValueError(f"population {bad[0]} is {populations[bad[0]]}, not finite")
@@ -289,15 +299,21 @@ class DiagonalState:
                 raise ValueError("negative population beyond tolerance")
             if not abs(populations.sum() - 1.0) <= POPULATION_TOL:
                 raise ValueError("populations do not sum to 1 within tolerance")
-        self.populations = populations
+
+    @property
+    def populations(self) -> np.ndarray:
+        """``scale * weights`` as float64: the stored float weights themselves
+        when scale is 1, else a new array of 8 bytes per configuration."""
+        weights = self.weights
+        return weights if self.scale == 1.0 and weights.dtype == np.float64 else self.scale * weights
 
     @property
     def dim(self) -> int:
-        return self.populations.shape[0]
+        return self.weights.shape[0]
 
     @property
     def trace(self) -> float:
-        return float(self.populations.sum())
+        return float(self.scale * self.weights.sum())
 
     def __repr__(self) -> str:
         return f"DiagonalState(dim={self.dim}, trace={self.trace:.6g})"
@@ -387,6 +403,12 @@ def _masked_swap(values: np.ndarray, transform: BasisPermutation) -> np.ndarray:
     spins = values.reshape((2,) * transform.control.ndim)
     # The target axis reversed, as a view; slicing skips np.flip's per-call axis checks.
     flipped = spins[(slice(None),) * transform.target + (slice(None, None, -1),)]
+    if values.dtype == np.bool_:
+        # The select below by XOR: np.where runs no faster on bytes than on float64.
+        moved = spins ^ flipped
+        moved &= transform.control
+        moved ^= spins
+        return moved.reshape(-1)
     return np.where(transform.control, flipped, spins).reshape(-1)
 
 
@@ -431,7 +453,7 @@ def conjugate(state, transform):
 
     if isinstance(transform, BasisPermutation):
         if isinstance(state, DiagonalState):
-            return DiagonalState(_masked_swap(state.populations, transform), check=False)
+            return DiagonalState(_masked_swap(state.weights, transform), scale=state.scale, check=False)
         if isinstance(state, StateVector):
             return StateVector(_masked_swap(state.amplitudes, transform))
         # (U rho U^†)[a, b] = rho[m^-1(a), m^-1(b)] for the map m, and an XOR

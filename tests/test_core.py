@@ -610,6 +610,23 @@ class TestXorPermutation:
             count += 1
         assert count == 2 * (4 + 16 + 256) + sum(n * n for n in range(2, 6))
 
+    @settings(deadline=None)
+    @given(data=st.data(), n_spins=st.integers(1, 7))
+    def test_masked_swap_moves_an_occupancy_as_it_moves_floats(self, data, n_spins):
+        # The bool XOR branch against the np.where branch, on the same values.
+        target = data.draw(st.integers(0, n_spins - 1))
+        shape = [data.draw(st.sampled_from([1, 2])) for _ in range(n_spins)]
+        shape[target] = 1
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        xor = BasisPermutation(target, rng.random(shape) < 0.5)
+        occupancy = rng.random(1 << n_spins) < 0.5
+        before = occupancy.copy()
+        moved = spindj.core._masked_swap(occupancy, xor)
+        assert moved.dtype == np.bool_
+        assert np.array_equal(moved, spindj.core._masked_swap(occupancy.astype(float), xor))
+        assert np.array_equal(occupancy, before)
+
     def test_input_state_is_not_mutated(self):
         rng = np.random.default_rng(72)
         system = SpinSystem(3, has_detection_spin=True)
@@ -719,6 +736,13 @@ class TestStateValidation:
             DiagonalState([0.5, 0.6])
         with pytest.raises(ValueError):
             DiagonalState([1.5, -0.5])
+
+    def test_occupancy_scale_must_normalize_it(self):
+        occupancy = np.array([True, False, True, False])
+        assert np.array_equal(DiagonalState(occupancy, scale=0.5).populations, [0.5, 0, 0.5, 0])
+        for scale in (0.25, 1.0, -0.5, np.nan):
+            with pytest.raises(ValueError):
+                DiagonalState(occupancy, scale=scale)
 
     @pytest.mark.parametrize(
         "populations, message",

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+import math
 import re
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import spindj.protocol as protocol
+from spindj import cli
 from spindj.core import (
     CapacityError,
     DensityOperator,
@@ -195,11 +197,11 @@ class TestLiouvilleRun:
     def test_signal_is_exactly_the_mean_of_minus_one_to_the_f(self, n, seed, make, separate):
         table = make(n, seed)
         system = SpinSystem(n, has_detection_spin=separate)
-        signal = run_liouville_dj(system, table).signal
-        # 2^-n * sum_x (-1)^f(x), exact: the numerator is an integer below 2^53.
-        assert signal == (len(table) - 2 * table.ones) / len(table)
+        # 2^-n * S with S = sum_x (-1)^f(x), bit for bit on both backends.
+        want = math.ldexp(int(np.sum(1 - 2 * table.bits.astype(np.int64))), -n)
+        assert run_liouville_dj(system, table).signal == want
         if n <= 6:
-            assert abs(run_liouville_dj(system, table, "dense").signal - signal) < 1e-12
+            assert run_liouville_dj(system, table, "dense").signal == want
 
     def test_readout_equals_the_pauli_z_expectation(self):
         # 2Iz is diagonal, so reading the populations is Tr(rho * 2Iz) even
@@ -235,6 +237,42 @@ class TestLiouvilleRun:
             SpinSystem(13), TruthTable.constant(13, 0), "diagonal", max_spins=14
         )
         assert out.signal == 1.0
+
+
+class TestOccupancy:
+    """The diagonal run path holds the ensemble as a bool occupancy, one byte
+    per configuration, with the common population 2^-n as its scale."""
+
+    @pytest.mark.parametrize("separate", [False, True])
+    def test_prepared_state_and_oracle_output_are_one_byte_occupancies(self, separate):
+        n = 5
+        system = SpinSystem(n, has_detection_spin=separate)
+        prepared = prepare_liouville_input(system)
+        output = oracle_channel(prepared, reversible_oracle(system, random_balanced(n, 3)))
+        for state in (prepared, output):
+            assert state.weights.dtype == np.bool_
+            assert state.weights.nbytes == system.dim
+            assert state.scale == 2**-n
+            assert state.trace == 1.0
+        closed = np.zeros(system.dim)
+        closed.reshape(2, 1 << n, -1)[0, :, 0] = 1.0 / (1 << n)
+        assert prepared.populations.dtype == np.float64
+        assert np.array_equal(prepared.populations, closed)
+        general = DiagonalState(closed)  # float weights, scale 1: read without a copy
+        assert general.populations is general.weights
+
+    def test_run_path_never_builds_the_float_populations(self, monkeypatch):
+        # At 25 spins a float view would add 256 MiB to a 32 MiB occupancy.
+        def refuse(state):
+            raise AssertionError("the diagonal run path read DiagonalState.populations")
+
+        monkeypatch.setattr(DiagonalState, "populations", property(refuse))
+        for separate in (False, True):
+            system = SpinSystem(6, has_detection_spin=separate)
+            for table in (TruthTable.constant(6, 1), random_balanced(6, 4), random_table(6, 5)):
+                assert run_liouville_dj(system, table).signal == brute_force_signal(table)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["sweep", "--n", "1..3", "--trials", "5", "--seed", "1"]) == 0
 
 
 class TestPseudoPure:
