@@ -5,7 +5,7 @@ product basis: a dense complex density matrix, a real population vector
 for states diagonal in that basis (the common case, since the gradient
 crusher removes all coherences), and the amplitude vector of a pure state.
 The protocol's ensemble, whose present configurations share one population,
-is a diagonal state stored as a one-byte occupancy and that population.
+is a diagonal state stored as a one-byte occupancy of those configurations.
 Operators and amplitude vectors stay float64 while their entries are real
 and become complex128 only when they are not.
 
@@ -275,37 +275,36 @@ class DiagonalState:
     """Population vector over the Zeeman basis (fast-path backend).
 
     Represents exactly the density operator whose diagonal equals
-    ``populations = scale * weights`` and whose off-diagonal part vanishes.
-    General states store float weights with ``scale`` 1. An ensemble whose
-    present configurations share one population stores a bool occupancy,
-    one byte per configuration, with that population as ``scale``.
+    ``populations`` and whose off-diagonal part vanishes. ``weights`` holds
+    those float populations or, for an ensemble whose present configurations
+    share one population, a bool occupancy of one byte per configuration:
+    the uniform mixture over its set entries.
     """
 
-    __slots__ = ("weights", "scale")
+    __slots__ = ("weights",)
 
-    def __init__(self, weights, *, scale: float = 1.0, check: bool = True):
+    def __init__(self, weights, *, check: bool = True):
         if not (isinstance(weights, np.ndarray) and weights.dtype == np.bool_):
             weights = np.asarray(weights, dtype=float)
         if weights.ndim != 1:
             raise ValueError("populations must be a vector")
-        self.weights = weights
-        self.scale = scale
-        if check:
-            populations = self.populations
-            bad = np.flatnonzero(~np.isfinite(populations))
+        if check and weights.dtype == np.bool_ and not weights.any():
+            raise ValueError("occupancy has no configuration set")
+        if check and weights.dtype != np.bool_:
+            bad = np.flatnonzero(~np.isfinite(weights))
             if bad.size:
-                raise ValueError(f"population {bad[0]} is {populations[bad[0]]}, not finite")
-            if not np.min(populations) >= -POPULATION_TOL:
+                raise ValueError(f"population {bad[0]} is {weights[bad[0]]}, not finite")
+            if not np.min(weights) >= -POPULATION_TOL:
                 raise ValueError("negative population beyond tolerance")
-            if not abs(populations.sum() - 1.0) <= POPULATION_TOL:
+            if not abs(weights.sum() - 1.0) <= POPULATION_TOL:
                 raise ValueError("populations do not sum to 1 within tolerance")
+        self.weights = weights
 
     @property
     def populations(self) -> np.ndarray:
-        """``scale * weights`` as float64: the stored float weights themselves
-        when scale is 1, else a new array of 8 bytes per configuration."""
+        """The float weights themselves; for an occupancy, a new float64 array (8 B per entry)."""
         weights = self.weights
-        return weights if self.scale == 1.0 and weights.dtype == np.float64 else self.scale * weights
+        return weights / np.count_nonzero(weights) if weights.dtype == np.bool_ else weights
 
     @property
     def dim(self) -> int:
@@ -313,7 +312,15 @@ class DiagonalState:
 
     @property
     def trace(self) -> float:
-        return float(self.scale * self.weights.sum())
+        return float(self.populations.sum())
+
+    def longitudinal(self, spin: int) -> float:
+        """Tr(rho * 2Iz) of one spin; an occupancy is counted, exact for a power-of-two count."""
+        halves = self.weights.reshape(1 << spin, 2, -1)
+        if self.weights.dtype != np.bool_:
+            return float(halves[:, 0].sum() - halves[:, 1].sum())
+        alpha, beta = np.count_nonzero(halves[:, 0]), np.count_nonzero(halves[:, 1])
+        return (alpha - beta) / (alpha + beta)
 
     def __repr__(self) -> str:
         return f"DiagonalState(dim={self.dim}, trace={self.trace:.6g})"
@@ -453,7 +460,7 @@ def conjugate(state, transform):
 
     if isinstance(transform, BasisPermutation):
         if isinstance(state, DiagonalState):
-            return DiagonalState(_masked_swap(state.weights, transform), scale=state.scale, check=False)
+            return DiagonalState(_masked_swap(state.weights, transform), check=False)
         if isinstance(state, StateVector):
             return StateVector(_masked_swap(state.amplitudes, transform))
         # (U rho U^†)[a, b] = rho[m^-1(a), m^-1(b)] for the map m, and an XOR

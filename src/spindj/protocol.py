@@ -94,12 +94,12 @@ def prepare_liouville_input(system: SpinSystem) -> DiagonalState:
     Closed form of the preparation sequence (90-degree pulse on the
     inputs, then crusher): populations 2^-n on every basis state with I0
     in alpha (and the detection spin in alpha, when separate), zero
-    elsewhere. Held as the occupancy of those states, scaled by 2^-n.
+    elsewhere. Held as the occupancy of those states.
     """
     occupancy = np.zeros(system.dim, dtype=bool)
     # Axes: I0, the inputs as one axis, the detection spin (length 1 if absent).
     occupancy.reshape(2, 1 << system.n_inputs, -1)[0, :, 0] = True
-    return DiagonalState(occupancy, scale=1.0 / (1 << system.n_inputs), check=False)
+    return DiagonalState(occupancy, check=False)
 
 
 def classify_signal(signal: float, tol: float = DEFAULT_SIGNAL_TOL) -> Verdict:
@@ -120,12 +120,9 @@ def _longitudinal_signal(state, spin: int) -> float:
 
     2Iz is diagonal (+1 on alpha, -1 on beta), so coherences never
     contribute: the signal is the alpha half-sum minus the beta half-sum.
-    An occupancy is counted instead; with a power-of-two scale the
-    product is exact.
     """
-    if isinstance(state, DiagonalState) and state.weights.dtype == np.bool_:
-        halves = state.weights.reshape(1 << spin, 2, -1)
-        return state.scale * (np.count_nonzero(halves[:, 0]) - np.count_nonzero(halves[:, 1]))
+    if isinstance(state, DiagonalState):
+        return state.longitudinal(spin)
     halves = state.populations.reshape(1 << spin, 2, -1)
     return float(halves[:, 0].sum() - halves[:, 1].sum())
 

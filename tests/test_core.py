@@ -737,12 +737,17 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             DiagonalState([1.5, -0.5])
 
-    def test_occupancy_scale_must_normalize_it(self):
-        occupancy = np.array([True, False, True, False])
-        assert np.array_equal(DiagonalState(occupancy, scale=0.5).populations, [0.5, 0, 0.5, 0])
-        for scale in (0.25, 1.0, -0.5, np.nan):
-            with pytest.raises(ValueError):
-                DiagonalState(occupancy, scale=scale)
+    def test_occupancy_is_the_uniform_mixture_over_its_set_entries(self):
+        occupancy = DiagonalState(np.array([True, False, True, False]))
+        assert occupancy.weights.dtype == np.bool_
+        assert np.array_equal(occupancy.populations, [0.5, 0, 0.5, 0])
+        assert occupancy.trace == 1.0
+        floats = DiagonalState(occupancy.populations)
+        assert [occupancy.longitudinal(spin) for spin in (0, 1)] == [0.0, 1.0]
+        assert [floats.longitudinal(spin) for spin in (0, 1)] == [0.0, 1.0]
+        assert np.array_equal(DiagonalState(np.array([True, True, True])).populations, [1 / 3] * 3)
+        with pytest.raises(ValueError, match="occupancy has no configuration set"):
+            DiagonalState(np.zeros(4, dtype=bool))
 
     @pytest.mark.parametrize(
         "populations, message",

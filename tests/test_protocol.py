@@ -241,7 +241,7 @@ class TestLiouvilleRun:
 
 class TestOccupancy:
     """The diagonal run path holds the ensemble as a bool occupancy, one byte
-    per configuration, with the common population 2^-n as its scale."""
+    per configuration, of the 2^n configurations that share population 2^-n."""
 
     @pytest.mark.parametrize("separate", [False, True])
     def test_prepared_state_and_oracle_output_are_one_byte_occupancies(self, separate):
@@ -252,13 +252,13 @@ class TestOccupancy:
         for state in (prepared, output):
             assert state.weights.dtype == np.bool_
             assert state.weights.nbytes == system.dim
-            assert state.scale == 2**-n
+            assert np.count_nonzero(state.weights) == 2**n
             assert state.trace == 1.0
         closed = np.zeros(system.dim)
         closed.reshape(2, 1 << n, -1)[0, :, 0] = 1.0 / (1 << n)
         assert prepared.populations.dtype == np.float64
         assert np.array_equal(prepared.populations, closed)
-        general = DiagonalState(closed)  # float weights, scale 1: read without a copy
+        general = DiagonalState(closed)  # float weights: read without a copy
         assert general.populations is general.weights
 
     def test_run_path_never_builds_the_float_populations(self, monkeypatch):
