@@ -312,7 +312,7 @@ class DiagonalState:
 
     @property
     def trace(self) -> float:
-        return float(self.populations.sum())
+        return 1.0 if self.weights.dtype == np.bool_ else float(self.weights.sum())
 
     def longitudinal(self, spin: int) -> float:
         """Tr(rho * 2Iz) of one spin; an occupancy is counted, exact for a power-of-two count."""

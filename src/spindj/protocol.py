@@ -34,6 +34,7 @@ from .core import (
     conjugate,
     embed,
     ensure_capacity,
+    pauli_z_diagonal,
     to_dense,
 )
 from .oracle import OracleClass, TruthTable, classify, oracle_channel, reversible_oracle
@@ -115,18 +116,6 @@ def classify_signal(signal: float, tol: float = DEFAULT_SIGNAL_TOL) -> Verdict:
     return Verdict.BALANCED
 
 
-def _longitudinal_signal(state, spin: int) -> float:
-    """Tr(rho * 2Iz) of one spin, read from the populations alone.
-
-    2Iz is diagonal (+1 on alpha, -1 on beta), so coherences never
-    contribute: the signal is the alpha half-sum minus the beta half-sum.
-    """
-    if isinstance(state, DiagonalState):
-        return state.longitudinal(spin)
-    halves = state.populations.reshape(1 << spin, 2, -1)
-    return float(halves[:, 0].sum() - halves[:, 1].sum())
-
-
 def run_liouville_dj(
     system: SpinSystem,
     table: TruthTable,
@@ -160,7 +149,11 @@ def run_liouville_dj(
         copy = fanout_unitary(system, system.ancilla, system.detection)
         state = conjugate(state, copy)
 
-    signal = _longitudinal_signal(state, system.detection)
+    # 2Iz is diagonal; the backends read it by two rules, which --backend both compares.
+    if backend == "dense":
+        signal = float(state.populations @ pauli_z_diagonal(system, system.detection))
+    else:
+        signal = state.longitudinal(system.detection)
     verdict = Verdict.UNDECIDED if 1.0 <= 2.0 * tolerance else classify_signal(signal, tolerance)
     return Outcome(signal, verdict, 1, backend)
 

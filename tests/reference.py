@@ -22,3 +22,11 @@ def pseudo_pure_matrix(n_spins: int, epsilon: float) -> DensityOperator:
     matrix = np.eye(dim, dtype=complex) * ((1.0 - epsilon) / dim)
     matrix[0, 0] += epsilon
     return DensityOperator(matrix, check=False)
+
+
+def brute_force_signal(table):
+    """Ground truth: 2^-n * sum over x of (-1)^f(x), by direct enumeration."""
+    total = 0
+    for x in range(1 << table.n):
+        total += (-1) ** table(x)
+    return total / (1 << table.n)

@@ -42,19 +42,12 @@ from spindj.pulses import (
     von_neumann_entropy,
 )
 
-from reference import is_permutation_matrix
+from reference import brute_force_signal, is_permutation_matrix
 
 
 def report(name, passed):
     print(f"\n[acceptance] {name}: {'PASS' if passed else 'FAIL'}")
     return passed
-
-
-def brute_force_signal(table):
-    total = 0
-    for x in range(1 << table.n):
-        total += (-1) ** table(x)
-    return total / (1 << table.n)
 
 
 def exhaustive_balanced(n):

@@ -98,6 +98,19 @@ class TestRunCommand:
         assert {r["backend"] for r in report["records"]} == {"dense", "diagonal"}
         assert report["cross_check"] < 1e-12
 
+    def test_cross_check_sees_a_fault_in_the_diagonal_readout(self, capsys, monkeypatch):
+        # The dense backend reads 2Iz by its own rule, so a sign flipped in the
+        # diagonal readout shows as a gap of 2 on a constant table.
+        longitudinal = spindj.core.DiagonalState.longitudinal
+        monkeypatch.setattr(
+            spindj.core.DiagonalState, "longitudinal", lambda self, spin: -longitudinal(self, spin)
+        )
+        code, out, _ = run_cli(
+            capsys, "run", "--n", "3", "--oracle", "constant0", "--backend", "both"
+        )
+        assert code == 0
+        assert json.loads(out)["cross_check"] == 2.0
+
     def test_a_dense_run_leaves_no_thread_behind(self, capsys, monkeypatch):
         # 11 spins: 64 MiB matrices, each filled in two row slabs on worker threads.
         monkeypatch.setattr(spindj.core, "_WORKERS", 2)

@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -748,6 +749,22 @@ class TestStateValidation:
         assert np.array_equal(DiagonalState(np.array([True, True, True])).populations, [1 / 3] * 3)
         with pytest.raises(ValueError, match="occupancy has no configuration set"):
             DiagonalState(np.zeros(4, dtype=bool))
+
+    def test_trace_of_an_occupancy_is_exactly_one(self):
+        # Seven entries of 1/7 sum to 0.9999999999999998 in float64; float
+        # weights report that sum, an occupancy its exact trace.
+        assert DiagonalState(np.ones(7) / 7).trace == 0.9999999999999998
+        assert DiagonalState(np.ones(7, dtype=bool)).trace == 1.0
+
+    def test_trace_of_an_occupancy_builds_no_float_populations(self):
+        occupancy = DiagonalState(np.ones(1 << 21, dtype=bool))  # 2 MiB; its floats are 16 MiB
+        tracemalloc.start()
+        try:
+            assert repr(occupancy) == f"DiagonalState(dim={1 << 21}, trace=1)"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
 
     @pytest.mark.parametrize(
         "populations, message",

@@ -23,6 +23,7 @@ from spindj.core import (
     embed,
     expectation,
     pauli_z,
+    pauli_z_diagonal,
     polarization_operator,
 )
 from spindj.oracle import (
@@ -44,20 +45,12 @@ from spindj.protocol import (
 )
 from spindj.pulses import prepare_liouville_input_pulsed, von_neumann_entropy
 
-from reference import pseudo_pure_matrix
+from reference import brute_force_signal, pseudo_pure_matrix
 
 
 def seeded_constant(n, seed):
     """All-zeros or all-ones, picked by the seed's parity."""
     return TruthTable.constant(n, seed & 1)
-
-
-def brute_force_signal(table):
-    """Ground truth: 2^-n * sum over x of (-1)^f(x), by direct enumeration."""
-    total = 0
-    for x in range(1 << table.n):
-        total += (-1) ** table(x)
-    return total / (1 << table.n)
 
 
 class TestPrepare:
@@ -221,8 +214,9 @@ class TestLiouvilleRun:
                 for spin in range(system.n_spins):
                     observable = pauli_z(system, spin)
                     want = expectation(rho, observable)
-                    assert abs(protocol._longitudinal_signal(rho, spin) - want) < 1e-12
-                    got = protocol._longitudinal_signal(populations, spin)
+                    got = float(rho.populations @ pauli_z_diagonal(system, spin))
+                    assert abs(got - want) < 1e-12
+                    got = populations.longitudinal(spin)
                     assert abs(got - expectation(populations, observable)) < 1e-12
 
     def test_rejects_unknown_backend(self):

@@ -40,12 +40,10 @@ UNREACHED = {
     "core.DensityOperator.__add__": "linearity of the oracle channel (acceptance criterion 7)",
     "core.DensityOperator.__mul__": "linearity of the oracle channel (acceptance criterion 7)",
     "core.SpinSystem.basis_index": "names a basis state by its 0/1 configuration",
-    "core.SpinSystem.bit_position": "called by pauli_z_diagonal",
     "core.is_unitary_matrix": "the library's check of a matrix not marked unitary",
     "core.polarization_operator": "an observable perfbench's tracer names in core",
-    "core.pauli_z": "an observable perfbench's tracer names in core",
-    "core.pauli_z_diagonal": "an observable perfbench's tracer names in core",
-    "core.expectation": "an observable perfbench's tracer names in core",
+    "core.pauli_z": "2Iz as a matrix, the tests' reference for both readouts; perfbench traces it",
+    "core.expectation": "Tr(rho O), the tests' reference readout; perfbench traces it",
 }
 
 
