@@ -147,30 +147,24 @@ def _real_or_complex(values) -> np.ndarray:
 
 
 class Operator:
-    """Dense operator on the Zeeman basis.
+    """Unitary gate on the Zeeman basis, verified when built unless ``check=False``."""
 
-    ``unitary=True`` marks a unitary; the matrix is verified at
-    construction unless ``check=False``. :func:`conjugate` verifies any
-    operator not so marked before applying it.
-    """
+    __slots__ = ("matrix",)
 
-    __slots__ = ("matrix", "unitary")
-
-    def __init__(self, matrix, *, unitary: bool = False, check: bool = True):
+    def __init__(self, matrix, *, check: bool = True):
         matrix = _real_or_complex(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("operator matrix must be square")
-        if unitary and check and not is_unitary_matrix(matrix):
+        if check and not is_unitary_matrix(matrix):
             raise ValueError("matrix is not unitary within tolerance")
         self.matrix = matrix
-        self.unitary = unitary
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def __repr__(self) -> str:
-        return f"Operator(dim={self.dim}, unitary={self.unitary})"
+        return f"Operator(dim={self.dim})"
 
 
 class BasisPermutation:
@@ -215,7 +209,7 @@ class BasisPermutation:
     def to_operator(self) -> Operator:
         matrix = np.zeros((self.dim, self.dim))
         matrix[self.mapping, np.arange(self.dim)] = 1.0
-        return Operator(matrix, unitary=True, check=False)
+        return Operator(matrix, check=False)
 
     def __repr__(self) -> str:
         return f"BasisPermutation(dim={self.dim}, target={self.target})"
@@ -284,8 +278,9 @@ class DiagonalState:
     __slots__ = ("weights",)
 
     def __init__(self, weights, *, check: bool = True):
-        if not (isinstance(weights, np.ndarray) and weights.dtype == np.bool_):
-            weights = np.asarray(weights, dtype=float)
+        weights = np.asarray(weights)
+        if weights.dtype != np.bool_:
+            weights = weights.astype(float, copy=False)
         if weights.ndim != 1:
             raise ValueError("populations must be a vector")
         if check and weights.dtype == np.bool_ and not weights.any():
@@ -316,6 +311,9 @@ class DiagonalState:
 
     def longitudinal(self, spin: int) -> float:
         """Tr(rho * 2Iz) of one spin; an occupancy is counted, exact for a power-of-two count."""
+        n_spins = self.dim.bit_length() - 1
+        if not 0 <= spin < n_spins:
+            raise ValueError(f"spin index {spin} out of range for {n_spins} spins")
         halves = self.weights.reshape(1 << spin, 2, -1)
         if self.weights.dtype != np.bool_:
             return float(halves[:, 0].sum() - halves[:, 1].sum())
@@ -365,17 +363,17 @@ def embed(system: SpinSystem, gates: dict[int, np.ndarray]) -> np.ndarray:
     return result
 
 
-def polarization_operator(system: SpinSystem, spin: int, level: str) -> Operator:
+def polarization_operator(system: SpinSystem, spin: int, level: str) -> np.ndarray:
     """Projector onto the alpha or beta level of one spin, embedded in the register."""
     if level not in _LEVELS:
         raise ValueError(f"level must be one of {_LEVELS}, got {level!r}")
     block = _ALPHA_PROJECTOR if level == "alpha" else _BETA_PROJECTOR
-    return Operator(embed(system, {spin: block}))
+    return embed(system, {spin: block})
 
 
-def pauli_z(system: SpinSystem, spin: int) -> Operator:
+def pauli_z(system: SpinSystem, spin: int) -> np.ndarray:
     """Longitudinal observable 2*Iz of one spin (+1 on alpha, -1 on beta)."""
-    return Operator(embed(system, {spin: _PAULI_Z}))
+    return embed(system, {spin: _PAULI_Z})
 
 
 def pauli_z_diagonal(system: SpinSystem, spin: int) -> np.ndarray:
@@ -384,20 +382,20 @@ def pauli_z_diagonal(system: SpinSystem, spin: int) -> np.ndarray:
     return 1.0 - 2.0 * ((np.arange(system.dim) >> pos) & 1)
 
 
-def expectation(state: DensityOperator | DiagonalState, observable: Operator) -> float:
-    """Tr(rho * O) for a Hermitian observable.
+def expectation(state: DensityOperator | DiagonalState, observable: np.ndarray) -> float:
+    """Tr(rho * O) for a Hermitian observable matrix.
 
     For a diagonal state only the observable's diagonal contributes, so
     the trace reduces to a dot product with the populations.
     """
-    if state.dim != observable.dim:
+    if observable.shape != (state.dim, state.dim):
         raise ValueError(
-            f"dimension mismatch: state {state.dim}, observable {observable.dim}"
+            f"dimension mismatch: state {state.dim}, observable of shape {observable.shape}"
         )
     if isinstance(state, DiagonalState):
-        value = complex(state.populations @ observable.matrix.diagonal())
+        value = complex(state.populations @ observable.diagonal())
     else:
-        value = complex(np.einsum("ij,ji->", state.matrix, observable.matrix))
+        value = complex(np.einsum("ij,ji->", state.matrix, observable))
     if abs(value.imag) > 1e-10:
         raise ValueError(
             f"expectation has imaginary part {value.imag:.3e}; observable not Hermitian?"
@@ -480,8 +478,6 @@ def conjugate(state, transform):
             "diagonal states only support basis permutations; "
             "convert with to_dense() for general unitaries"
         )
-    if not transform.unitary and not is_unitary_matrix(transform.matrix):
-        raise ValueError("transform is not unitary within tolerance")
     u = transform.matrix
     if isinstance(state, StateVector):
         return StateVector(u @ state.amplitudes)

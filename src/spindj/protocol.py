@@ -80,6 +80,7 @@ def thermal_epsilon(n_spins: int, p: float) -> float:
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("polarization p must lie in (0, 1]")
+    n_spins = operator.index(n_spins)  # ldexp needs an int: reads np.int64, refuses 2.5
     if n_spins < 1:
         raise ValueError("a register needs at least one spin")
     # ldexp scales by 2^-N exactly and underflows to 0 where 2^N has no float,
@@ -159,7 +160,7 @@ def run_liouville_dj(
 
 
 def _basis_change(system: SpinSystem, blocks: dict[int, np.ndarray]) -> Operator:
-    return Operator(embed(system, blocks), unitary=True, check=False)
+    return Operator(embed(system, blocks), check=False)
 
 
 def run_pseudo_pure_dj(

@@ -57,7 +57,7 @@ def rotation_unitary(
         block = np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
     else:
         block = np.array([[c, -s], [s, c]], dtype=complex)
-    return Operator(embed(system, {spin: block for spin in targets}), unitary=True)
+    return Operator(embed(system, {spin: block for spin in targets}))
 
 
 def crusher(state: DensityOperator) -> DiagonalState:

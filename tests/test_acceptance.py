@@ -238,7 +238,7 @@ def test_criterion_7_structural_invariants():
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = DensityOperator((a @ a.conj().T) / np.trace(a @ a.conj().T).real, check=False)
         q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-        u = Operator(q * (np.diag(r) / np.abs(np.diag(r))), unitary=True)
+        u = Operator(q * (np.diag(r) / np.abs(np.diag(r))))
         out = conjugate(rho, u)
         ok = ok and abs(out.trace - rho.trace) < 1e-12
         ok = ok and np.max(np.abs(out.matrix - out.matrix.conj().T)) < 1e-12
@@ -296,8 +296,8 @@ def test_criterion_8_polarization_identities_exact():
     for system in systems:  # N = 2, 3, 4, 4
         identity = np.eye(system.dim, dtype=complex)
         for spin in range(system.n_spins):
-            alpha = polarization_operator(system, spin, "alpha").matrix
-            beta = polarization_operator(system, spin, "beta").matrix
+            alpha = polarization_operator(system, spin, "alpha")
+            beta = polarization_operator(system, spin, "beta")
             ok = ok and np.array_equal(alpha + beta, identity)
-            ok = ok and np.array_equal(alpha - beta, pauli_z(system, spin).matrix)
+            ok = ok and np.array_equal(alpha - beta, pauli_z(system, spin))
     assert report("8 polarization identities exact at N<=4", ok)

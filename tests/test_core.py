@@ -54,7 +54,7 @@ def random_unitary(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return Operator(q, unitary=True)
+    return Operator(q)
 
 
 def xor_maps_up_to_five_spins():
@@ -150,13 +150,13 @@ class TestPolarizationOperators:
     def test_single_spin_alpha(self):
         op = polarization_operator(SpinSystem(1), 1, "alpha")
         # spin 1 of a 2-spin register: identity (x) projector
-        assert_allclose(op.matrix, np.kron(np.eye(2), [[1, 0], [0, 0]]))
+        assert_allclose(op, np.kron(np.eye(2), [[1, 0], [0, 0]]))
 
     def test_single_spin_blocks(self):
         # the least significant spin exposes the bare 2x2 blocks in the corner
         system = SpinSystem(1)
-        alpha = polarization_operator(system, 1, "alpha").matrix
-        beta = polarization_operator(system, 1, "beta").matrix
+        alpha = polarization_operator(system, 1, "alpha")
+        beta = polarization_operator(system, 1, "beta")
         assert np.array_equal(alpha[:2, :2], np.array([[1, 0], [0, 0]], dtype=complex))
         assert np.array_equal(beta[:2, :2], np.array([[0, 0], [0, 1]], dtype=complex))
 
@@ -166,8 +166,8 @@ class TestPolarizationOperators:
         system = SpinSystem(n_inputs)
         for spin in range(system.n_spins):
             total = (
-                polarization_operator(system, spin, "alpha").matrix
-                + polarization_operator(system, spin, "beta").matrix
+                polarization_operator(system, spin, "alpha")
+                + polarization_operator(system, spin, "beta")
             )
             assert np.array_equal(total, np.eye(system.dim, dtype=complex))
 
@@ -176,10 +176,10 @@ class TestPolarizationOperators:
         system = SpinSystem(n_inputs)
         for spin in range(system.n_spins):
             diff = (
-                polarization_operator(system, spin, "alpha").matrix
-                - polarization_operator(system, spin, "beta").matrix
+                polarization_operator(system, spin, "alpha")
+                - polarization_operator(system, spin, "beta")
             )
-            assert np.array_equal(diff, pauli_z(system, spin).matrix)
+            assert np.array_equal(diff, pauli_z(system, spin))
 
     def test_invalid_spin_index(self):
         with pytest.raises(ValueError):
@@ -194,7 +194,7 @@ class TestPolarizationOperators:
         for spin in range(system.n_spins):
             assert_allclose(
                 pauli_z_diagonal(system, spin),
-                np.diag(pauli_z(system, spin).matrix).real,
+                np.diag(pauli_z(system, spin)).real,
             )
 
 
@@ -215,7 +215,7 @@ class TestZeemanProductState:
             product = np.eye(system.dim, dtype=complex)
             for spin, bit in enumerate(bits):
                 level = "alpha" if bit == "0" else "beta"
-                product = product @ polarization_operator(system, spin, level).matrix
+                product = product @ polarization_operator(system, spin, level)
             assert_allclose(zeeman_product_state(system, config).matrix, product)
 
     @pytest.mark.parametrize(
@@ -265,11 +265,16 @@ class TestExpectation:
         with pytest.raises(ValueError):
             expectation(zeeman_product_state(SpinSystem(1), "00"), pauli_z(SpinSystem(2), 0))
 
+    def test_observable_must_match_the_state(self):
+        state = DiagonalState([0.25] * 4)
+        with pytest.raises(ValueError, match=r"observable of shape \(4, 2\)"):
+            expectation(state, np.zeros((4, 2)))
+
     def test_non_hermitian_observable_rejected(self):
         state = DensityOperator(np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex))
         skew = np.array([[0, 1j], [1j, 0]])  # not Hermitian: imaginary trace
         with pytest.raises(ValueError):
-            expectation(state, Operator(skew))
+            expectation(state, skew)
 
     def test_linear_in_state(self):
         rng = np.random.default_rng(11)
@@ -288,7 +293,7 @@ class TestConjugate:
     def test_identity_leaves_state(self):
         system = SpinSystem(1)
         state = zeeman_product_state(system, "01")
-        out = conjugate(state, Operator(np.eye(system.dim), unitary=True))
+        out = conjugate(state, Operator(np.eye(system.dim)))
         assert_allclose(out.matrix, state.matrix)
 
     def test_permutation_swaps_populations(self):
@@ -322,13 +327,12 @@ class TestConjugate:
         # a permutation matrix is still a dense operator; XOR maps are BasisPermutations
         for matrix in ([[0, 1], [1, 0]], [[0, 1], [1j, 0]]):
             with pytest.raises(ValueError, match="basis permutations"):
-                conjugate(state, Operator(matrix, unitary=True))
+                conjugate(state, Operator(matrix))
 
     def test_non_unitary_rejected(self):
-        state = zeeman_product_state(SpinSystem(1), "00")
-        bad = Operator(np.diag([1.0, 2.0, 1.0, 1.0]).astype(complex))
-        with pytest.raises(ValueError):
-            conjugate(state, bad)
+        # refused when the gate is built, before any state can be conjugated by it
+        with pytest.raises(ValueError, match="not unitary"):
+            Operator(np.diag([1.0, 2.0, 1.0, 1.0]).astype(complex))
 
     def test_unknown_transform_type_rejected(self):
         state = DiagonalState([1.0, 0.0])
@@ -386,7 +390,7 @@ class TestRealConjugation:
         rng = np.random.default_rng(seed)
         dim = 1 << n_spins
         q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        u = Operator(q, unitary=True)
+        u = Operator(q)
         a = rng.normal(size=(dim, dim))
         rho = DensityOperator(a + a.T)
         before = rho.matrix.copy()
@@ -412,7 +416,7 @@ class TestRealConjugation:
             rho = random_density(rng, n_spins)
             assert rho.matrix.imag.any()
             q, _ = np.linalg.qr(rng.normal(size=(rho.dim, rho.dim)))
-            u = Operator(q, unitary=True)
+            u = Operator(q)
             out = conjugate(rho, u)
             assert out.matrix.imag.any()
             assert np.max(np.abs(out.matrix - complex_conjugation(u, rho))) <= 1e-12
@@ -477,7 +481,7 @@ class TestStateVector:
     def test_real_amplitudes_stay_float64_through_a_real_gate(self):
         system = SpinSystem(2)
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        gate = Operator(embed(system, {0: hadamard, 2: hadamard}), unitary=True)
+        gate = Operator(embed(system, {0: hadamard, 2: hadamard}))
         out = conjugate(StateVector(np.eye(1, system.dim)[0]), gate)
         assert out.amplitudes.dtype == np.float64
         assert np.array_equal(out.populations, out.amplitudes**2)
@@ -490,7 +494,7 @@ class TestStateVector:
         out = conjugate(real, pulse)
         assert out.amplitudes.dtype == np.complex128
         assert_allclose(out.populations, [0.5, 0, 0.5, 0, 0, 0, 0, 0])
-        flip = Operator(embed(system, {0: np.array([[0.0, 1.0], [1.0, 0.0]])}), unitary=True)
+        flip = Operator(embed(system, {0: np.array([[0.0, 1.0], [1.0, 0.0]])}))
         assert conjugate(out, flip).amplitudes.dtype == np.complex128
 
 
@@ -529,8 +533,8 @@ class TestRealArithmetic:
         assert embed(system, {}).dtype == np.float64
         assert np.array_equal(embed(system, {}), np.eye(system.dim))
         assert embed(system, {1: np.array([[0.0, 1.0], [1.0, 0.0]])}).dtype == np.float64
-        assert pauli_z(system, 3).matrix.dtype == np.float64
-        assert polarization_operator(system, 0, "beta").matrix.dtype == np.float64
+        assert pauli_z(system, 3).dtype == np.float64
+        assert polarization_operator(system, 0, "beta").dtype == np.float64
 
     def test_embed_of_a_complex_block_is_complex128(self):
         system = SpinSystem(2)
@@ -565,17 +569,16 @@ class TestEntropy:
 class TestOperatorKinds:
     def test_unitary_check(self):
         with pytest.raises(ValueError):
-            Operator(np.diag([1.0, 2.0]).astype(complex), unitary=True)
+            Operator(np.diag([1.0, 2.0]).astype(complex))
 
     def test_permutation_check(self):
         good = np.array([[0, 1], [1, 0]], dtype=complex)
         assert is_permutation_matrix(good)
-        assert Operator(good, unitary=True).unitary
+        Operator(good)  # a permutation matrix is unitary: no error
         bad = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         assert not is_permutation_matrix(bad)
         with pytest.raises(ValueError):
-            Operator(bad, unitary=True)
-        assert not Operator(bad).unitary
+            Operator(bad)
 
     def test_unitary_predicate(self):
         rng = np.random.default_rng(2)
@@ -749,6 +752,18 @@ class TestStateValidation:
         assert np.array_equal(DiagonalState(np.array([True, True, True])).populations, [1 / 3] * 3)
         with pytest.raises(ValueError, match="occupancy has no configuration set"):
             DiagonalState(np.zeros(4, dtype=bool))
+
+    def test_a_list_of_bools_is_an_occupancy_as_a_bool_array_is(self):
+        listed, array = DiagonalState([True, True]), DiagonalState(np.array([True, True]))
+        assert np.array_equal(listed.populations, array.populations)
+        assert listed.trace == array.trace == 1.0
+        assert listed.longitudinal(0) == array.longitudinal(0) == 0.0
+
+    @pytest.mark.parametrize("spin", [5, -1])
+    def test_longitudinal_names_a_spin_outside_the_register(self, spin):
+        for weights in (np.ones(4, dtype=bool), np.full(4, 0.25)):
+            with pytest.raises(ValueError, match=rf"spin index {spin} out of range for 2 spins"):
+                DiagonalState(weights).longitudinal(spin)
 
     def test_trace_of_an_occupancy_is_exactly_one(self):
         # Seven entries of 1/7 sum to 0.9999999999999998 in float64; float

@@ -490,18 +490,18 @@ def projector_readout(system, table, epsilon, apply):
     flip = np.array([[0, 1], [1, 0]])
 
     def gate(blocks):
-        return Operator(embed(system, blocks), unitary=True)
+        return Operator(embed(system, blocks))
 
     inputs = {spin: hadamard for spin in system.inputs}
     projector = np.eye(system.dim)
     for spin in system.inputs:
-        projector = projector @ polarization_operator(system, spin, "alpha").matrix
+        projector = projector @ polarization_operator(system, spin, "alpha")
     state = pseudo_pure_matrix(system.n_spins, epsilon)
     state = apply(state, gate({system.ancilla: flip}))
     state = apply(state, gate({system.ancilla: hadamard, **inputs}))
     state = apply(state, reversible_oracle(system, table))
     state = apply(state, gate(inputs))
-    raw = expectation(state, Operator(projector))
+    raw = expectation(state, projector)
     return raw - (1.0 - epsilon) / (1 << table.n)
 
 
@@ -520,6 +520,12 @@ class TestThermalEpsilon:
         assert thermal_epsilon(1100, 1e-5) == 0.0
         assert thermal_epsilon(1100, 1.0) == 0.0
         assert thermal_epsilon(10**400, 0.5) == 0.0
+
+    def test_reads_the_spin_count_as_an_index(self):
+        assert thermal_epsilon(np.int64(3), 0.5) == thermal_epsilon(3, 0.5) == 0.1875
+        assert thermal_epsilon(SpinSystem(np.int64(3)).n_spins, 0.5) == thermal_epsilon(4, 0.5)
+        with pytest.raises(TypeError):
+            thermal_epsilon(2.5, 0.5)
 
     def test_rejects_bad_polarization(self):
         with pytest.raises(ValueError):

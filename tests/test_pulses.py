@@ -86,7 +86,6 @@ class TestRotationUnitary:
                 float(rng.uniform(-10, 10)),
                 (int(rng.integers(system.n_spins)),),
             )
-            assert u.unitary
             assert is_unitary_matrix(u.matrix)
 
     def test_rejects_invalid_target(self):

@@ -40,7 +40,7 @@ UNREACHED = {
     "core.DensityOperator.__add__": "linearity of the oracle channel (acceptance criterion 7)",
     "core.DensityOperator.__mul__": "linearity of the oracle channel (acceptance criterion 7)",
     "core.SpinSystem.basis_index": "names a basis state by its 0/1 configuration",
-    "core.is_unitary_matrix": "the library's check of a matrix not marked unitary",
+    "core.is_unitary_matrix": "the check an Operator built without check=False runs (rotation_unitary, the tests)",
     "core.polarization_operator": "an observable perfbench's tracer names in core",
     "core.pauli_z": "2Iz as a matrix, the tests' reference for both readouts; perfbench traces it",
     "core.expectation": "Tr(rho O), the tests' reference readout; perfbench traces it",
