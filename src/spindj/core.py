@@ -311,14 +311,16 @@ class DiagonalState:
 
     def longitudinal(self, spin: int) -> float:
         """Tr(rho * 2Iz) of one spin; an occupancy is counted, exact for a power-of-two count."""
+        if self.dim & (self.dim - 1):
+            raise ValueError(f"a register of spins has 2^N configurations, not {self.dim}")
         n_spins = self.dim.bit_length() - 1
         if not 0 <= spin < n_spins:
             raise ValueError(f"spin index {spin} out of range for {n_spins} spins")
         halves = self.weights.reshape(1 << spin, 2, -1)
         if self.weights.dtype != np.bool_:
             return float(halves[:, 0].sum() - halves[:, 1].sum())
-        alpha, beta = np.count_nonzero(halves[:, 0]), np.count_nonzero(halves[:, 1])
-        return (alpha - beta) / (alpha + beta)
+        total, beta = np.count_nonzero(self.weights), np.count_nonzero(halves[:, 1])
+        return (total - 2 * beta) / total
 
     def __repr__(self) -> str:
         return f"DiagonalState(dim={self.dim}, trace={self.trace:.6g})"
@@ -405,9 +407,20 @@ def expectation(state: DensityOperator | DiagonalState, observable: np.ndarray) 
 
 def _masked_swap(values: np.ndarray, transform: BasisPermutation) -> np.ndarray:
     """An XOR map on a vector over the basis: a masked swap along the target axis."""
-    spins = values.reshape((2,) * transform.control.ndim)
     # The target axis reversed, as a view; slicing skips np.flip's per-call axis checks.
-    flipped = spins[(slice(None),) * transform.target + (slice(None, None, -1),)]
+    reverse = (slice(None),) * transform.target + (slice(None, None, -1),)
+    if values.dtype == np.bool_ and transform.control.shape[-1] == 1 and values.flags.c_contiguous:
+        # No control bit on the last spin: its byte pairs move as two-byte lanes, so numpy's
+        # inner loop is not 2 bytes long. Flipping the last spin reads the lanes byte-swapped.
+        last = transform.control.ndim - 1
+        pairs = values.view(np.uint16).reshape((2,) * last)
+        flipped = pairs.view(pairs.dtype.newbyteorder()) if transform.target == last else pairs[reverse]
+        moved = pairs ^ flipped
+        moved *= transform.control[..., 0]
+        moved ^= pairs
+        return moved.reshape(-1).view(np.bool_)
+    spins = values.reshape((2,) * transform.control.ndim)
+    flipped = spins[reverse]
     if values.dtype == np.bool_:
         # The select below by XOR: np.where runs no faster on bytes than on float64.
         moved = spins ^ flipped

@@ -600,6 +600,12 @@ class TestXorPermutation:
                 at = tuple(bit if size == 2 else 0 for bit, size in zip(bits, xor.control.shape))
                 expected.append(i ^ (int(xor.control[at]) << (n_spins - 1 - xor.target)))
             assert mapping.tolist() == expected
+            # an occupancy, by the bool kernels (two-byte lanes where the last spin
+            # carries no control bit): the set entry at i moves to expected[i]
+            occupancy = rng.random(xor.dim) < 0.5
+            moved = spindj.core._masked_swap(occupancy, xor)
+            assert moved.dtype == np.bool_
+            assert np.array_equal(moved[expected], occupancy)
             # diagonal: |i> -> |mapping[i]> carries population p[i] to mapping[i]
             populations = rng.random(xor.dim)
             state = DiagonalState(populations / populations.sum())
@@ -630,6 +636,38 @@ class TestXorPermutation:
         assert moved.dtype == np.bool_
         assert np.array_equal(moved, spindj.core._masked_swap(occupancy.astype(float), xor))
         assert np.array_equal(occupancy, before)
+
+    @pytest.mark.parametrize("case", ["fanout onto the last spin", "separate-layout oracle"])
+    def test_two_byte_lanes_move_an_occupancy_by_the_bit_rule(self, case):
+        # Six spins, I0 (bit 5) to the detection spin (bit 0); the inputs are bits 4..1.
+        system, table = SpinSystem(4, has_detection_spin=True), "0110100110010110"
+        if case == "fanout onto the last spin":
+            xor, image = fanout_unitary(system, 0, system.detection), lambda i: i ^ (i >> 5)
+        else:
+            xor = reversible_oracle(system, TruthTable.from_string(table))
+            image = lambda i: i ^ (int(table[(i >> 1) & 15]) << 5)
+        assert xor.control.shape[-1] == 1  # no control bit on the last spin
+        occupancy = np.random.default_rng(73).random(system.dim) < 0.5
+        before = occupancy.copy()
+        moved = spindj.core._masked_swap(occupancy, xor)
+        assert moved.dtype == np.bool_ and not np.shares_memory(moved, occupancy)
+        assert np.array_equal(moved[[image(i) for i in range(system.dim)]], occupancy)
+        assert np.array_equal(occupancy, before)
+
+    def test_a_strided_occupancy_moves_as_its_contiguous_copy(self):
+        # A strided vector cannot be viewed as two-byte lanes, so it keeps the byte kernel.
+        system = SpinSystem(3, has_detection_spin=True)
+        every_other = (np.random.default_rng(74).random(2 * system.dim) < 0.5)[::2]
+        strided = DiagonalState(every_other, check=False)
+        assert not strided.weights.flags.c_contiguous
+        contiguous = DiagonalState(every_other.copy(), check=False)
+        for xor in (
+            reversible_oracle(system, TruthTable.from_string("01101001")),
+            fanout_unitary(system, 0, system.detection),
+            inversion_unitary(system, 1),
+        ):
+            got = conjugate(strided, xor).weights
+            assert np.array_equal(got, conjugate(contiguous, xor).weights)
 
     def test_input_state_is_not_mutated(self):
         rng = np.random.default_rng(72)
@@ -764,6 +802,11 @@ class TestStateValidation:
         for weights in (np.ones(4, dtype=bool), np.full(4, 0.25)):
             with pytest.raises(ValueError, match=rf"spin index {spin} out of range for 2 spins"):
                 DiagonalState(weights).longitudinal(spin)
+
+    def test_longitudinal_names_a_length_that_is_no_register(self):
+        for weights in (np.ones(3, dtype=bool), np.full(3, 1 / 3)):
+            with pytest.raises(ValueError, match=r"has 2\^N configurations, not 3$"):
+                DiagonalState(weights).longitudinal(0)
 
     def test_trace_of_an_occupancy_is_exactly_one(self):
         # Seven entries of 1/7 sum to 0.9999999999999998 in float64; float
