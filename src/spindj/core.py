@@ -203,8 +203,10 @@ class BasisPermutation:
     @property
     def mapping(self) -> np.ndarray:
         """The index form ``|i> -> |mapping[i]>``, built anew on each access."""
-        # The map is its own inverse, so moving the indices gives each one's image.
-        return _masked_swap(np.arange(self.dim), self)
+        # The bit rule itself, kept apart from the state kernel so a dense run checks it.
+        n_spins = self.control.ndim
+        control = np.broadcast_to(self.control, (2,) * n_spins).reshape(-1)
+        return np.arange(self.dim) ^ (control << (n_spins - 1 - self.target))
 
     def to_operator(self) -> Operator:
         matrix = np.zeros((self.dim, self.dim))
@@ -218,9 +220,8 @@ class BasisPermutation:
 class DensityOperator:
     """Hermitian matrix over the Zeeman basis (dense backend).
 
-    Protocol states carry trace 1; real-weighted sums used in linearity
-    arguments may transiently have any trace, so only Hermiticity is
-    enforced at construction.
+    Protocol states carry trace 1, but construction checks only that the
+    matrix is finite and Hermitian.
     """
 
     __slots__ = ("matrix",)
@@ -250,16 +251,6 @@ class DensityOperator:
     def populations(self) -> np.ndarray:
         """Read-only view of the real diagonal."""
         return self.matrix.diagonal().real
-
-    def __add__(self, other: "DensityOperator") -> "DensityOperator":
-        return DensityOperator(self.matrix + other.matrix, check=False)
-
-    def __mul__(self, weight) -> "DensityOperator":
-        if not isinstance(weight, (int, float)):
-            raise TypeError("density operators scale by real weights only")
-        return DensityOperator(self.matrix * weight, check=False)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim}, trace={self.trace:.6g})"
@@ -407,27 +398,27 @@ def expectation(state: DensityOperator | DiagonalState, observable: np.ndarray) 
 
 def _masked_swap(values: np.ndarray, transform: BasisPermutation) -> np.ndarray:
     """An XOR map on a vector over the basis: a masked swap along the target axis."""
+    control, target = transform.control, transform.target
     # The target axis reversed, as a view; slicing skips np.flip's per-call axis checks.
-    reverse = (slice(None),) * transform.target + (slice(None, None, -1),)
-    if values.dtype == np.bool_ and transform.control.shape[-1] == 1 and values.flags.c_contiguous:
+    reverse = (slice(None),) * target + (slice(None, None, -1),)
+    if values.dtype != np.bool_:
+        spins = values.reshape((2,) * control.ndim)
+        return np.where(control, spins[reverse], spins).reshape(-1)
+    if control.shape[-1] == 1 and values.flags.c_contiguous:
         # No control bit on the last spin: its byte pairs move as two-byte lanes, so numpy's
         # inner loop is not 2 bytes long. Flipping the last spin reads the lanes byte-swapped.
-        last = transform.control.ndim - 1
-        pairs = values.view(np.uint16).reshape((2,) * last)
-        flipped = pairs.view(pairs.dtype.newbyteorder()) if transform.target == last else pairs[reverse]
-        moved = pairs ^ flipped
-        moved *= transform.control[..., 0]
-        moved ^= pairs
-        return moved.reshape(-1).view(np.bool_)
-    spins = values.reshape((2,) * transform.control.ndim)
-    flipped = spins[reverse]
-    if values.dtype == np.bool_:
-        # The select below by XOR: np.where runs no faster on bytes than on float64.
-        moved = spins ^ flipped
-        moved &= transform.control
-        moved ^= spins
-        return moved.reshape(-1)
-    return np.where(transform.control, flipped, spins).reshape(-1)
+        last = control.ndim - 1
+        spins = values.view(np.uint16).reshape((2,) * last)
+        flipped = spins.view(spins.dtype.newbyteorder()) if target == last else spins[reverse]
+        control = control[..., 0]
+    else:
+        spins = values.reshape((2,) * control.ndim)
+        flipped = spins[reverse]
+    # The select by XOR: np.where runs no faster on bytes than on float64.
+    moved = spins ^ flipped
+    moved *= control
+    moved ^= spins
+    return moved.reshape(-1).view(np.bool_)
 
 
 def _by_row_slabs(out: np.ndarray, fill) -> np.ndarray:

@@ -111,6 +111,22 @@ class TestRunCommand:
         assert code == 0
         assert json.loads(out)["cross_check"] == 2.0
 
+    def test_cross_check_sees_a_fault_in_the_diagonal_xor_kernel(self, capsys, monkeypatch):
+        # The dense gather takes its index from the bit rule, not from the state kernel,
+        # so a kernel that flips where the mask is clear shows as a gap of 2 on a constant.
+        masked_swap = spindj.core._masked_swap
+
+        def inverted(values, transform):
+            flipped_mask = spindj.core.BasisPermutation(transform.target, ~transform.control)
+            return masked_swap(values, flipped_mask)
+
+        monkeypatch.setattr(spindj.core, "_masked_swap", inverted)
+        code, out, _ = run_cli(
+            capsys, "run", "--n", "3", "--oracle", "constant0", "--backend", "both"
+        )
+        assert code == 0
+        assert json.loads(out)["cross_check"] == 2.0
+
     def test_a_dense_run_leaves_no_thread_behind(self, capsys, monkeypatch):
         # 11 spins: 64 MiB matrices, each filled in two row slabs on worker threads.
         monkeypatch.setattr(spindj.core, "_WORKERS", 2)

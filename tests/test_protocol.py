@@ -190,11 +190,12 @@ class TestLiouvilleRun:
     def test_signal_is_exactly_the_mean_of_minus_one_to_the_f(self, n, seed, make, separate):
         table = make(n, seed)
         system = SpinSystem(n, has_detection_spin=separate)
-        # 2^-n * S with S = sum_x (-1)^f(x), bit for bit on both backends.
-        want = math.ldexp(int(np.sum(1 - 2 * table.bits.astype(np.int64))), -n)
-        assert run_liouville_dj(system, table).signal == want
-        if n <= 6:
-            assert run_liouville_dj(system, table, "dense").signal == want
+        # 2^-n * S with S = sum_x (-1)^f(x) = 2^n - 2 * ones, bit for bit on both
+        # backends: compared as float.hex, so a -0.0 for 0.0 fails too.
+        want = math.ldexp(2**n - 2 * table.ones, -n).hex()
+        assert run_liouville_dj(system, table).signal.hex() == want
+        if n <= 8:
+            assert run_liouville_dj(system, table, "dense").signal.hex() == want
 
     def test_readout_equals_the_pauli_z_expectation(self):
         # 2Iz is diagonal, so reading the populations is Tr(rho * 2Iz) even

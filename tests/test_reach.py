@@ -37,8 +37,6 @@ UNREACHED = {
     "core.DensityOperator.trace": "a state's trace, read by __repr__ and the tests",
     "core.DiagonalState.trace": "a state's trace, read by __repr__ and the tests",
     "core.BasisPermutation.to_operator": "the dense matrix the tests check the gather against",
-    "core.DensityOperator.__add__": "linearity of the oracle channel (acceptance criterion 7)",
-    "core.DensityOperator.__mul__": "linearity of the oracle channel (acceptance criterion 7)",
     "core.SpinSystem.basis_index": "names a basis state by its 0/1 configuration",
     "core.is_unitary_matrix": "the check an Operator built without check=False runs (rotation_unitary, the tests)",
     "core.polarization_operator": "an observable perfbench's tracer names in core",
