@@ -18,7 +18,6 @@ detection spin (when present) is the least significant bit. The alpha
 from __future__ import annotations
 
 import operator
-import os
 import sys
 from dataclasses import dataclass
 
@@ -34,15 +33,6 @@ _INDEXABLE_SPINS = {
     "diagonal": (sys.maxsize // 8).bit_length() - 1,
     "dense": ((sys.maxsize // 16).bit_length() - 1) // 2,
 }
-
-# The row-slab kernels give each CPU this process may run on one slab of their
-# output, but no slab under the minimum size: a smaller output stays on the
-# caller's thread. The threads take turns holding the interpreter lock between
-# rows, which costs more than it saves on short rows: run repeatedly in one
-# process, 10-spin (16 MiB) dense runs were 30-40% slower on two threads than
-# on one, and 11-spin (64 MiB) ones about 20% faster.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_MIN_SLAB_BYTES = 32 << 20
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
@@ -421,39 +411,16 @@ def _masked_swap(values: np.ndarray, transform: BasisPermutation) -> np.ndarray:
     return moved.reshape(-1).view(np.bool_)
 
 
-def _by_row_slabs(out: np.ndarray, fill) -> np.ndarray:
-    """Run ``fill(lo, hi)``, which writes rows ``lo:hi`` of ``out`` in place, on
-    contiguous row slabs of ``out``, one per usable CPU, each in its own
-    thread; return ``out``.
-
-    The threads run numpy kernels that release the interpreter lock, so the
-    slabs' memory traffic and page faults overlap. ``fill`` must call numpy
-    only: the threads are not the caller's, and tracing assumes one thread.
-    """
-    rows = out.shape[0]
-    slabs = min(_WORKERS, out.nbytes // _MIN_SLAB_BYTES)
-    if slabs <= 1:
-        fill(0, rows)
-        return out
-    # Imported here: it pulls in logging, 10 ms of start-up that small runs need not pay.
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = [rows * k // slabs for k in range(slabs + 1)]
-    with ThreadPoolExecutor(slabs) as pool:
-        futures = [pool.submit(fill, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        for future in futures:
-            future.result()  # re-raises what fill raised
-    return out
-
-
-def conjugate(state, transform):
+def conjugate(state, transform, *, in_place: bool = False):
     """Map ``rho -> U rho U^†``, staying on the state's backend.
 
     ``transform`` is a :class:`BasisPermutation` or, on dense states and
     state vectors only, a unitary :class:`Operator`. A state vector maps
     as ``psi -> U psi``; an XOR map moves its amplitudes exactly as it
     moves a diagonal state's populations. The input state is never
-    modified.
+    modified, unless ``in_place`` hands over a dense state's matrix: an XOR
+    map then moves that matrix's entries in place, and the result holds it.
+    Other states and transforms ignore ``in_place``.
     """
     if not isinstance(transform, (BasisPermutation, Operator)):
         raise TypeError(f"cannot conjugate by {type(transform).__name__}")
@@ -465,17 +432,20 @@ def conjugate(state, transform):
             return DiagonalState(_masked_swap(state.weights, transform), check=False)
         if isinstance(state, StateVector):
             return StateVector(_masked_swap(state.amplitudes, transform))
-        # (U rho U^†)[a, b] = rho[m^-1(a), m^-1(b)] for the map m, and an XOR
-        # map is an involution (m^-1 = m), so the mapping is the gather index.
+        # (U rho U^†)[a, b] = rho[m(a), m(b)] for the map m, an involution: it swaps
+        # rows r and m(r) or fixes r. Each pair passes through one row buffer.
         # A permutation never clips; mode="clip" spares take its buffered copy.
-        matrix, mapping = state.matrix, transform.mapping
-        out = np.empty(matrix.shape, dtype=matrix.dtype)
-
-        def gather(lo, hi):
-            for row, source in enumerate(mapping[lo:hi].tolist(), lo):
-                matrix[source].take(mapping, out=out[row], mode="clip")
-
-        return DensityOperator(_by_row_slabs(out, gather), check=False)
+        matrix = state.matrix if in_place else state.matrix.copy()
+        mapping = transform.mapping
+        row_buffer = np.empty(matrix.shape[1], dtype=matrix.dtype)
+        for row, source in enumerate(mapping.tolist()):
+            if source < row:
+                continue  # moved with its partner
+            matrix[source].take(mapping, out=row_buffer, mode="clip")
+            if source != row:
+                matrix[row].take(mapping, out=matrix[source], mode="clip")
+            matrix[row] = row_buffer
+        return DensityOperator(matrix, check=False)
 
     if isinstance(state, DiagonalState):
         raise ValueError(
@@ -492,11 +462,6 @@ def to_dense(state: DiagonalState) -> DensityOperator:
     """The density matrix of a diagonal state; any other state is refused, not dephased."""
     if not isinstance(state, DiagonalState):
         raise TypeError(f"to_dense takes a DiagonalState, not {type(state).__name__}")
-    populations = state.populations
     out = np.zeros((state.dim, state.dim), dtype=complex)
-    diagonal = out.reshape(-1)[:: state.dim + 1]  # a view: writes land in out
-
-    def fill(lo, hi):
-        diagonal[lo:hi] = populations[lo:hi]
-
-    return DensityOperator(_by_row_slabs(out, fill), check=False)
+    out.reshape(-1)[:: state.dim + 1] = state.populations  # the diagonal, as a strided view
+    return DensityOperator(out, check=False)

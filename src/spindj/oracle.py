@@ -140,14 +140,16 @@ def reversible_oracle(system: SpinSystem, table: TruthTable) -> BasisPermutation
     return BasisPermutation(system.ancilla, table.bits.view(np.bool_).reshape(shape))
 
 
-def oracle_channel(state, oracle: BasisPermutation):
+def oracle_channel(state, oracle: BasisPermutation, *, in_place: bool = False):
     """One oracle evaluation on the whole ensemble: conjugation by the permutation.
 
     ``state`` is any state :func:`~spindj.core.conjugate` takes, on any
     backend. Conjugation is linear in the state, so a mixture of classical
-    inputs is mapped to the same mixture of outputs.
+    inputs is mapped to the same mixture of outputs. The input state is never
+    modified, unless ``in_place`` hands over a dense state's matrix, which
+    the oracle then moves in place (see :func:`~spindj.core.conjugate`).
     """
-    return conjugate(state, oracle)
+    return conjugate(state, oracle, in_place=in_place)
 
 
 def random_balanced(n: int, seed: int) -> TruthTable:

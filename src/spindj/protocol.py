@@ -144,11 +144,12 @@ def run_liouville_dj(
     if backend == "dense":
         state = to_dense(state)
 
-    state = oracle_channel(state, oracle)
+    # The run owns the state it prepared, so both maps may move a dense matrix in place.
+    state = oracle_channel(state, oracle, in_place=True)
 
     if system.has_detection_spin:
         copy = fanout_unitary(system, system.ancilla, system.detection)
-        state = conjugate(state, copy)
+        state = conjugate(state, copy, in_place=True)
 
     # 2Iz is diagonal; the backends read it by two rules, which --backend both compares.
     if backend == "dense":

@@ -123,9 +123,9 @@ def test_criterion_3_signal_matches_brute_force_oracle(balanced_tables):
 def test_criterion_4_single_oracle_evaluation(monkeypatch):
     calls = []
 
-    def counting_channel(state, oracle):
+    def counting_channel(state, oracle, **kwargs):
         calls.append(1)
-        return oracle_channel(state, oracle)
+        return oracle_channel(state, oracle, **kwargs)
 
     monkeypatch.setattr(protocol, "oracle_channel", counting_channel)
     rng = np.random.default_rng(31337)

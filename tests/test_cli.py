@@ -5,7 +5,6 @@ import json
 import math
 import re
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -127,17 +126,21 @@ class TestRunCommand:
         assert code == 0
         assert json.loads(out)["cross_check"] == 2.0
 
-    def test_a_dense_run_leaves_no_thread_behind(self, capsys, monkeypatch):
-        # 11 spins: 64 MiB matrices, each filled in two row slabs on worker threads.
-        monkeypatch.setattr(spindj.core, "_WORKERS", 2)
-        threads_before = threading.active_count()
-        code, out, _ = run_cli(
-            capsys, "run", "--n", "10", "--oracle", "balanced-random", "--seed", "3",
-            "--backend", "dense",
-        )
+    def test_a_dense_run_holds_one_matrix(self, capsys):
+        # 9 spins: a 4 MiB complex matrix, which each XOR map moves in place.
+        matrix_bytes = 16 * 4**9
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(
+                capsys, "run", "--n", "7", "--oracle", "balanced-random", "--seed", "3",
+                "--backend", "dense", "--detection", "separate",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 0
         assert json.loads(out)["records"][0]["verdict"] == "balanced"
-        assert threading.active_count() == threads_before
+        assert peak < 1.5 * matrix_bytes
 
     def test_pseudo_pure_verdict_is_undecided_below_the_noise_floor(self, capsys):
         # eps(9 spins) = 9e-5/512 ~ 1.8e-7 <= 2 sigma with the default sigma = 1e-6

@@ -1,6 +1,5 @@
 import itertools
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -617,6 +616,8 @@ class TestXorPermutation:
             rho = random_density(rng, n_spins)
             dense = conjugate(rho, xor)
             assert np.array_equal(dense.matrix, conjugate(rho, xor.to_operator()).matrix)
+            owned = DensityOperator(rho.matrix.copy())
+            assert np.array_equal(conjugate(owned, xor, in_place=True).matrix, dense.matrix)
             assert np.array_equal(conjugate(dense, xor).matrix, rho.matrix)
             count += 1
         assert count == 2 * (4 + 16 + 256) + sum(n * n for n in range(2, 6))
@@ -702,14 +703,12 @@ class TestXorPermutation:
 
 
 class TestDenseRowSlabs:
-    """The dense gather and to_dense fill their output one row slab per worker
-    thread; each must equal its single-call numpy form bit for bit."""
+    """The dense XOR map moves rows through one row buffer, and to_dense writes
+    the diagonal; each must equal its single-call numpy form bit for bit."""
 
-    # 8 spins (1 MiB) stay on the caller's thread; 11 spins (64 MiB) are split.
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    # 8 spins (1 MiB) and 11 spins (64 MiB).
     @pytest.mark.parametrize("n_spins", [8, 11])
-    def test_gather_and_to_dense_equal_their_single_call_forms(self, monkeypatch, workers, n_spins):
-        monkeypatch.setattr(spindj.core, "_WORKERS", workers)
+    def test_gather_and_to_dense_equal_their_single_call_forms(self, n_spins):
         system = SpinSystem(n_spins - 2, has_detection_spin=True)
         dim = system.dim
         # Every entry distinct, so any misplaced one shows.
@@ -726,47 +725,17 @@ class TestDenseRowSlabs:
             assert np.array_equal(out.matrix, matrix[np.ix_(m, m)])
             assert not np.shares_memory(out.matrix, matrix)
             assert np.array_equal(matrix, before)
+            # Handed over, the matrix itself is moved and the result holds it.
+            owned = DensityOperator(before.copy(), check=False)
+            moved = conjugate(owned, xor, in_place=True)
+            assert np.array_equal(moved.matrix, matrix[np.ix_(m, m)])
+            assert np.shares_memory(moved.matrix, owned.matrix)
 
         populations = np.random.default_rng(n_spins).random(dim)
         populations /= populations.sum()
         dense = to_dense(DiagonalState(populations))
         assert dense.matrix.dtype == np.complex128
         assert np.array_equal(dense.matrix, np.diag(populations.astype(complex)))
-
-    @pytest.mark.parametrize(
-        "rows, slabs",
-        [
-            (255, [(0, 255)]),
-            (511, [(0, 511)]),
-            (512, [(0, 256), (256, 512)]),
-            (768, [(0, 256), (256, 512), (512, 768)]),
-        ],
-    )
-    def test_no_slab_is_below_the_minimum_size(self, monkeypatch, rows, slabs):
-        monkeypatch.setattr(spindj.core, "_WORKERS", 3)
-        # 256 rows fill one minimum slab; fill writes nothing, so no page is touched.
-        out = np.empty((rows, spindj.core._MIN_SLAB_BYTES // 256 // 16), dtype=complex)
-        seen = []
-        spindj.core._by_row_slabs(out, lambda lo, hi: seen.append((lo, hi)))
-        assert sorted(seen) == slabs
-
-    def test_an_exception_in_a_worker_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(spindj.core, "_WORKERS", 2)
-        out = np.empty((1024, spindj.core._MIN_SLAB_BYTES // 512 // 16), dtype=complex)  # two slabs
-        threads_before = threading.active_count()
-        caller = threading.get_ident()
-        filled = []
-
-        def fill(lo, hi):
-            off_caller = threading.get_ident() != caller
-            if lo > 0:
-                raise RuntimeError(f"slab {lo}:{hi} failed, off the caller's thread: {off_caller}")
-            filled.append((lo, hi))
-
-        with pytest.raises(RuntimeError, match="512:1024 failed, off the caller's thread: True"):
-            spindj.core._by_row_slabs(out, fill)
-        assert filled == [(0, 512)]
-        assert threading.active_count() == threads_before
 
 
 class TestStateValidation:

@@ -135,9 +135,9 @@ class TestLiouvilleRun:
     def test_applies_the_oracle_exactly_once(self, monkeypatch):
         calls = []
 
-        def counting_channel(state, oracle):
+        def counting_channel(state, oracle, **kwargs):
             calls.append(1)
-            return oracle_channel(state, oracle)
+            return oracle_channel(state, oracle, **kwargs)
 
         monkeypatch.setattr(protocol, "oracle_channel", counting_channel)
         out = run_liouville_dj(SpinSystem(3), random_balanced(3, 5))
