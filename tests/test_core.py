@@ -737,6 +737,66 @@ class TestDenseRowSlabs:
         assert dense.matrix.dtype == np.complex128
         assert np.array_equal(dense.matrix, np.diag(populations.astype(complex)))
 
+    # A handed-over matrix is moved wherever its rows lie: rows of a Fortran-ordered
+    # matrix and of a strided view are not contiguous, so the row buffer's writes
+    # must follow their strides.
+    @pytest.mark.parametrize("in_place", [False, True])
+    @pytest.mark.parametrize("layout", ["C", "Fortran", "strided"])
+    def test_the_kernel_moves_a_matrix_of_any_memory_layout(self, layout, in_place):
+        system = SpinSystem(3, has_detection_spin=True)
+        dim = system.dim
+        values = random_density(np.random.default_rng(29), system.n_spins).matrix
+        if layout == "Fortran":
+            matrix = np.asfortranarray(values)
+        elif layout == "strided":
+            matrix = np.zeros((2 * dim, 2 * dim), dtype=complex)[::2, 1::2]
+            matrix[...] = values
+        else:
+            matrix = values.copy()
+        state = DensityOperator(matrix, check=False)
+        assert state.matrix is matrix
+        for xor in (
+            reversible_oracle(system, random_balanced(system.n_inputs, 5)),
+            fanout_unitary(system, system.ancilla, system.detection),
+        ):
+            m = xor.mapping
+            want = state.matrix[np.ix_(m, m)]
+            before = state.matrix.copy()
+            out = conjugate(state, xor, in_place=in_place)
+            assert np.array_equal(out.matrix, want)
+            assert np.shares_memory(out.matrix, matrix) == in_place
+            if not in_place:
+                assert np.array_equal(state.matrix, before)
+            state = out
+        assert np.array_equal(matrix, state.matrix) == in_place
+
+    # Only a dense state under an XOR map is moved in place; every other state,
+    # and a dense state under a unitary Operator, keeps the input unchanged.
+    @pytest.mark.parametrize("kind", ["populations", "occupancy", "vector", "operator"])
+    def test_in_place_leaves_every_other_input_unchanged(self, kind):
+        rng = np.random.default_rng(43)
+        system = SpinSystem(2, has_detection_spin=True)
+        xor = reversible_oracle(system, TruthTable.from_string("0110"))
+        field = {"vector": "amplitudes", "operator": "matrix"}.get(kind, "weights")
+        if kind == "populations":
+            populations = rng.random(system.dim)
+            state = DiagonalState(populations / populations.sum())
+        elif kind == "occupancy":
+            state = DiagonalState(rng.random(system.dim) < 0.5)
+        elif kind == "vector":
+            amplitudes = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
+            state = StateVector(amplitudes / np.linalg.norm(amplitudes))
+        else:
+            state = random_density(rng, system.n_spins)
+            xor = xor.to_operator()
+        held = getattr(state, field)
+        before = held.copy()
+        copied, handed = conjugate(state, xor), conjugate(state, xor, in_place=True)
+        assert np.array_equal(held, before)
+        assert type(handed) is type(copied)
+        assert np.array_equal(getattr(handed, field), getattr(copied, field))
+        assert not np.shares_memory(getattr(handed, field), held)
+
 
 class TestStateValidation:
     def test_density_operator_must_be_hermitian(self):

@@ -218,6 +218,23 @@ class TestOracleChannel:
             split = c1 * oracle_channel(rho1, oracle).matrix + c2 * oracle_channel(rho2, oracle).matrix
             assert np.max(np.abs(combined - split)) < 1e-12
 
+    @pytest.mark.parametrize("separate", [False, True])
+    def test_hands_over_the_matrix_only_when_asked(self, separate):
+        system = SpinSystem(2, has_detection_spin=separate)
+        oracle = reversible_oracle(system, TruthTable.from_string("0110"))
+        rng = np.random.default_rng(67)
+        populations = rng.random(system.dim)
+        rho = to_dense(DiagonalState(populations / populations.sum()))
+        before = rho.matrix.copy()
+        copied = oracle_channel(rho, oracle)
+        assert np.array_equal(rho.matrix, before)
+        assert not np.shares_memory(copied.matrix, rho.matrix)
+        handed = oracle_channel(rho, oracle, in_place=True)
+        assert np.shares_memory(handed.matrix, rho.matrix)
+        assert np.array_equal(handed.matrix, copied.matrix)
+        # The table is not constant, so the oracle moved some population.
+        assert not np.array_equal(rho.matrix, before)
+
 
 class TestRandomTables:
     def test_balanced_has_half_ones(self):
