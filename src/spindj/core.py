@@ -37,6 +37,8 @@ _INDEXABLE_SPINS = {
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
 POPULATION_TOL = 1e-12
+# Lanes per chunk of the in-place occupancy kernel: at most 512 KiB of 8-byte lanes.
+_CHUNK_LANES = 1 << 16
 
 _ID2 = np.eye(2)
 _ALPHA_PROJECTOR = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -174,7 +176,7 @@ class BasisPermutation:
     __slots__ = ("target", "control")
 
     def __init__(self, target: int, control):
-        control = np.asarray(control)
+        control = np.asarray(control, order="C")  # the occupancy kernel views its bytes as lanes
         if control.dtype != np.bool_:
             raise ValueError("control mask must be boolean")
         if control.ndim < 1 or any(size not in (1, 2) for size in control.shape):
@@ -387,28 +389,51 @@ def expectation(state: DensityOperator | DiagonalState, observable: np.ndarray) 
 
 
 def _masked_swap(values: np.ndarray, transform: BasisPermutation) -> np.ndarray:
-    """An XOR map on a vector over the basis: a masked swap along the target axis."""
+    """An XOR map on a vector over the basis, a masked swap along the target axis: floats
+    map into a new vector, and an occupancy (writable, C-contiguous) moves in place."""
     control, target = transform.control, transform.target
-    # The target axis reversed, as a view; slicing skips np.flip's per-call axis checks.
-    reverse = (slice(None),) * target + (slice(None, None, -1),)
+    n_spins, pick = control.ndim, (slice(None),) * target
     if values.dtype != np.bool_:
-        spins = values.reshape((2,) * control.ndim)
-        return np.where(control, spins[reverse], spins).reshape(-1)
-    if control.shape[-1] == 1 and values.flags.c_contiguous:
-        # No control bit on the last spin: its byte pairs move as two-byte lanes, so numpy's
-        # inner loop is not 2 bytes long. Flipping the last spin reads the lanes byte-swapped.
-        last = control.ndim - 1
-        spins = values.view(np.uint16).reshape((2,) * last)
-        flipped = spins.view(spins.dtype.newbyteorder()) if target == last else spins[reverse]
-        control = control[..., 0]
+        # The target axis reversed, as a view; slicing skips np.flip's per-call axis checks.
+        spins = values.reshape((2,) * n_spins)
+        return np.where(control, spins[pick + (slice(None, None, -1),)], spins).reshape(-1)
+    # Rows a and b paired by the target, mask c: d = (a ^ b) & c, then a ^= d and b ^= d.
+    if values.size <= _CHUNK_LANES:  # one chunk, in bytes: no loop
+        spins = values.reshape((2,) * n_spins)
+        first, second = spins[pick + (0, ...)], spins[pick + (1, ...)]
+        moved = (first ^ second) & control[pick + (0, ...)]
+        first ^= moved
+        second ^= moved
+        return values
+    # Chunk by chunk, bytes move in lanes of up to 8 bytes over the last spins after the
+    # target: where the mask reads none of them, a lane takes one mask byte (*=); where it
+    # reads all, its own bytes (&). Flipping the last spin swaps each two-byte lane's bytes.
+    last, halves = control.shape[-1], target < n_spins - 1
+    if halves:
+        width = max(k for k in (1, 2, 3) if k < n_spins - target and set(control.shape[-k:]) == {last})
+        lane = f"u{1 << width}"
+        spins = values.view(lane).reshape((2,) * (n_spins - width))
+        first, second = spins[pick + (0, ...)], spins[pick + (1, ...)]
+        mask = control[pick + (0, ...)]
+        if last == 1:
+            mask = mask[(...,) + (0,) * width]
+        else:
+            mask = mask.reshape(mask.shape[:-width] + (-1,)).view(lane)[..., 0]
     else:
-        spins = values.reshape((2,) * control.ndim)
-        flipped = spins[reverse]
-    # The select by XOR: np.where runs no faster on bytes than on float64.
-    moved = spins ^ flipped
-    moved *= control
-    moved ^= spins
-    return moved.reshape(-1).view(np.bool_)
+        first = values.view(np.uint16).reshape((2,) * target)
+        second, mask = first.view(first.dtype.newbyteorder()), control[..., 0]
+    select = np.multiply if last == 1 else np.bitwise_and
+    block = min(first.ndim, _CHUNK_LANES.bit_length() - 1)  # lane axes per chunk
+    moved, mask = np.empty((2,) * block, first.dtype), np.broadcast_to(mask, first.shape)
+    for index in np.ndindex((2,) * (first.ndim - block)):
+        at = index + (...,)  # views, even where the chunk is one lane
+        a, b = first[at], second[at]
+        np.bitwise_xor(a, b, out=moved)
+        select(moved, mask[at], out=moved)
+        a ^= moved
+        if halves:
+            b ^= moved
+    return values
 
 
 def conjugate(state, transform, *, in_place: bool = False):
@@ -418,9 +443,10 @@ def conjugate(state, transform, *, in_place: bool = False):
     state vectors only, a unitary :class:`Operator`. A state vector maps
     as ``psi -> U psi``; an XOR map moves its amplitudes exactly as it
     moves a diagonal state's populations. The input state is never
-    modified, unless ``in_place`` hands over a dense state's matrix: an XOR
-    map then moves that matrix's entries in place, and the result holds it.
-    Other states and transforms ignore ``in_place``.
+    modified, unless ``in_place`` hands over a dense state's matrix or an
+    occupancy: an XOR map then moves it in place, and the result holds it.
+    A read-only array or a strided occupancy is copied instead, as it is
+    without ``in_place``, which other states and transforms ignore.
     """
     if not isinstance(transform, (BasisPermutation, Operator)):
         raise TypeError(f"cannot conjugate by {type(transform).__name__}")
@@ -429,13 +455,16 @@ def conjugate(state, transform, *, in_place: bool = False):
 
     if isinstance(transform, BasisPermutation):
         if isinstance(state, DiagonalState):
-            return DiagonalState(_masked_swap(state.weights, transform), check=False)
+            weights, flags = state.weights, state.weights.flags
+            if weights.dtype == np.bool_ and not (in_place and flags.writeable and flags.c_contiguous):
+                weights = weights.copy()
+            return DiagonalState(_masked_swap(weights, transform), check=False)
         if isinstance(state, StateVector):
             return StateVector(_masked_swap(state.amplitudes, transform))
         # (U rho U^†)[a, b] = rho[m(a), m(b)] for the map m, an involution: it swaps
         # rows r and m(r) or fixes r. Each pair passes through one row buffer.
         # A permutation never clips; mode="clip" spares take its buffered copy.
-        matrix = state.matrix if in_place else state.matrix.copy()
+        matrix = state.matrix if in_place and state.matrix.flags.writeable else state.matrix.copy()
         mapping = transform.mapping
         row_buffer = np.empty(matrix.shape[1], dtype=matrix.dtype)
         for row, source in enumerate(mapping.tolist()):

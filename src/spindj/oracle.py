@@ -146,8 +146,8 @@ def oracle_channel(state, oracle: BasisPermutation, *, in_place: bool = False):
     ``state`` is any state :func:`~spindj.core.conjugate` takes, on any
     backend. Conjugation is linear in the state, so a mixture of classical
     inputs is mapped to the same mixture of outputs. The input state is never
-    modified, unless ``in_place`` hands over a dense state's matrix, which
-    the oracle then moves in place (see :func:`~spindj.core.conjugate`).
+    modified, unless ``in_place`` hands over a dense state's matrix or an
+    occupancy, which the oracle then moves in place (see :func:`~spindj.core.conjugate`).
     """
     return conjugate(state, oracle, in_place=in_place)
 

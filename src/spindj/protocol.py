@@ -144,7 +144,7 @@ def run_liouville_dj(
     if backend == "dense":
         state = to_dense(state)
 
-    # The run owns the state it prepared, so both maps may move a dense matrix in place.
+    # The run owns the state it prepared, so both maps move its occupancy or matrix in place.
     state = oracle_channel(state, oracle, in_place=True)
 
     if system.has_detection_spin:

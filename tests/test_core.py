@@ -600,10 +600,10 @@ class TestXorPermutation:
                 at = tuple(bit if size == 2 else 0 for bit, size in zip(bits, xor.control.shape))
                 expected.append(i ^ (int(xor.control[at]) << (n_spins - 1 - xor.target)))
             assert mapping.tolist() == expected
-            # an occupancy, by the bool kernels (two-byte lanes where the last spin
-            # carries no control bit): the set entry at i moves to expected[i]
+            # an occupancy, by the bool kernel, which moves a copy here in place:
+            # the set entry at i moves to expected[i]
             occupancy = rng.random(xor.dim) < 0.5
-            moved = spindj.core._masked_swap(occupancy, xor)
+            moved = spindj.core._masked_swap(occupancy.copy(), xor)
             assert moved.dtype == np.bool_
             assert np.array_equal(moved[expected], occupancy)
             # diagonal: |i> -> |mapping[i]> carries population p[i] to mapping[i]
@@ -625,7 +625,7 @@ class TestXorPermutation:
     @settings(deadline=None)
     @given(data=st.data(), n_spins=st.integers(1, 7))
     def test_masked_swap_moves_an_occupancy_as_it_moves_floats(self, data, n_spins):
-        # The bool XOR branch against the np.where branch, on the same values.
+        # The bool XOR branch, in place, against the np.where branch on the same values.
         target = data.draw(st.integers(0, n_spins - 1))
         shape = [data.draw(st.sampled_from([1, 2])) for _ in range(n_spins)]
         shape[target] = 1
@@ -635,13 +635,14 @@ class TestXorPermutation:
         occupancy = rng.random(1 << n_spins) < 0.5
         before = occupancy.copy()
         moved = spindj.core._masked_swap(occupancy, xor)
-        assert moved.dtype == np.bool_
-        assert np.array_equal(moved, spindj.core._masked_swap(occupancy.astype(float), xor))
-        assert np.array_equal(occupancy, before)
+        assert moved.dtype == np.bool_ and np.shares_memory(moved, occupancy)
+        assert np.array_equal(moved, spindj.core._masked_swap(before.astype(float), xor))
 
     @pytest.mark.parametrize("case", ["fanout onto the last spin", "separate-layout oracle"])
-    def test_two_byte_lanes_move_an_occupancy_by_the_bit_rule(self, case):
+    def test_two_byte_lanes_move_an_occupancy_by_the_bit_rule(self, case, monkeypatch):
         # Six spins, I0 (bit 5) to the detection spin (bit 0); the inputs are bits 4..1.
+        # Chunks of four lanes, so the 64 bytes move in two-byte lanes, chunk by chunk.
+        monkeypatch.setattr(spindj.core, "_CHUNK_LANES", 4)
         system, table = SpinSystem(4, has_detection_spin=True), "0110100110010110"
         if case == "fanout onto the last spin":
             xor, image = fanout_unitary(system, 0, system.detection), lambda i: i ^ (i >> 5)
@@ -652,12 +653,11 @@ class TestXorPermutation:
         occupancy = np.random.default_rng(73).random(system.dim) < 0.5
         before = occupancy.copy()
         moved = spindj.core._masked_swap(occupancy, xor)
-        assert moved.dtype == np.bool_ and not np.shares_memory(moved, occupancy)
-        assert np.array_equal(moved[[image(i) for i in range(system.dim)]], occupancy)
-        assert np.array_equal(occupancy, before)
+        assert moved.dtype == np.bool_ and np.shares_memory(moved, occupancy)
+        assert np.array_equal(moved[[image(i) for i in range(system.dim)]], before)
 
     def test_a_strided_occupancy_moves_as_its_contiguous_copy(self):
-        # A strided vector cannot be viewed as two-byte lanes, so it keeps the byte kernel.
+        # A strided vector cannot be viewed as lanes, so conjugate moves a contiguous copy.
         system = SpinSystem(3, has_detection_spin=True)
         every_other = (np.random.default_rng(74).random(2 * system.dim) < 0.5)[::2]
         strided = DiagonalState(every_other, check=False)
@@ -670,6 +670,47 @@ class TestXorPermutation:
         ):
             got = conjugate(strided, xor).weights
             assert np.array_equal(got, conjugate(contiguous, xor).weights)
+
+    # Chunks of one to four lanes, so every map crosses chunk boundaries at N <= 5.
+    @pytest.mark.parametrize("chunk_lanes", [1, 2, 3, 4])
+    def test_every_map_moves_an_occupancy_in_place_chunk_by_chunk(self, chunk_lanes, monkeypatch):
+        monkeypatch.setattr(spindj.core, "_CHUNK_LANES", chunk_lanes)
+        rng = np.random.default_rng(75 + chunk_lanes)
+        for xor in xor_maps_up_to_five_spins():
+            occupancy = rng.random(xor.dim) < 0.5
+            want = occupancy[xor.mapping]
+            before = occupancy.copy()
+            copied = conjugate(DiagonalState(occupancy, check=False), xor)
+            assert np.array_equal(copied.weights, want)
+            assert np.array_equal(occupancy, before)
+            assert not np.shares_memory(copied.weights, occupancy)
+            handed = conjugate(DiagonalState(occupancy, check=False), xor, in_place=True)
+            assert np.array_equal(handed.weights, want)
+            assert np.shares_memory(handed.weights, occupancy)
+            # A mask given as a strided view moves the occupancy as its contiguous copy does.
+            strided = np.repeat(xor.control, 2, axis=-1)[..., ::2]
+            back = conjugate(handed, BasisPermutation(xor.target, strided), in_place=True)
+            assert np.array_equal(back.weights, before)
+
+    # One rule: a handed-over occupancy the kernel cannot move where it lies is copied.
+    @pytest.mark.parametrize("kind", ["strided", "read-only"])
+    def test_a_handed_over_occupancy_that_cannot_be_moved_in_place_is_copied(self, kind):
+        system = SpinSystem(3, has_detection_spin=True)
+        values = np.random.default_rng(76).random(2 * system.dim) < 0.5
+        if kind == "strided":
+            occupancy = values[::2]
+        else:
+            occupancy = values[: system.dim]
+            occupancy.setflags(write=False)
+        before = occupancy.copy()
+        for xor in (
+            reversible_oracle(system, TruthTable.from_string("01101001")),
+            fanout_unitary(system, 0, system.detection),
+        ):
+            out = conjugate(DiagonalState(occupancy, check=False), xor, in_place=True)
+            assert np.array_equal(out.weights, before[xor.mapping])
+            assert not np.shares_memory(out.weights, occupancy)
+            assert np.array_equal(occupancy, before)
 
     def test_input_state_is_not_mutated(self):
         rng = np.random.default_rng(72)
@@ -770,8 +811,9 @@ class TestDenseRowSlabs:
             state = out
         assert np.array_equal(matrix, state.matrix) == in_place
 
-    # Only a dense state under an XOR map is moved in place; every other state,
-    # and a dense state under a unitary Operator, keeps the input unchanged.
+    # Only a dense state or an occupancy under an XOR map is moved in place; float
+    # populations, a state vector, and a dense state under a unitary Operator keep the
+    # input unchanged.
     @pytest.mark.parametrize("kind", ["populations", "occupancy", "vector", "operator"])
     def test_in_place_leaves_every_other_input_unchanged(self, kind):
         rng = np.random.default_rng(43)
@@ -792,10 +834,25 @@ class TestDenseRowSlabs:
         held = getattr(state, field)
         before = held.copy()
         copied, handed = conjugate(state, xor), conjugate(state, xor, in_place=True)
-        assert np.array_equal(held, before)
         assert type(handed) is type(copied)
         assert np.array_equal(getattr(handed, field), getattr(copied, field))
-        assert not np.shares_memory(getattr(handed, field), held)
+        # A handed-over occupancy is the array moved.
+        assert np.shares_memory(getattr(handed, field), held) == (kind == "occupancy")
+        if kind != "occupancy":
+            assert np.array_equal(held, before)
+
+    def test_a_read_only_matrix_handed_over_is_copied(self):
+        # The occupancy's rule: an array the kernel cannot write where it lies is copied.
+        system = SpinSystem(2, has_detection_spin=True)
+        matrix = random_density(np.random.default_rng(44), system.n_spins).matrix
+        matrix.setflags(write=False)
+        before = matrix.copy()
+        xor = reversible_oracle(system, TruthTable.from_string("0110"))
+        m = xor.mapping
+        out = conjugate(DensityOperator(matrix, check=False), xor, in_place=True)
+        assert np.array_equal(out.matrix, before[np.ix_(m, m)])
+        assert not np.shares_memory(out.matrix, matrix)
+        assert np.array_equal(matrix, before)
 
 
 class TestStateValidation:

@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,24 @@ class TestOccupancy:
         assert np.array_equal(prepared.populations, closed)
         general = DiagonalState(closed)  # float weights: read without a copy
         assert general.populations is general.weights
+
+    @pytest.mark.parametrize("separate", [False, True])
+    def test_a_diagonal_run_holds_one_occupancy(self, separate):
+        # 21 spins: a 2 MiB occupancy, which the oracle and FANOUT move in place through
+        # a buffer of at most 512 KiB. The table is built before tracing starts, and a
+        # warm-up run leaves out what numpy allocates only once.
+        n = 20 - separate
+        system = SpinSystem(n, has_detection_spin=separate)
+        table = random_balanced(n, 3)
+        assert run_liouville_dj(system, table).verdict is Verdict.BALANCED
+        tracemalloc.start()
+        try:
+            outcome = run_liouville_dj(system, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.verdict is Verdict.BALANCED
+        assert peak < 1.5 * system.dim
 
     def test_run_path_never_builds_the_float_populations(self, monkeypatch):
         # At 25 spins a float view would add 256 MiB to a 32 MiB occupancy.
