@@ -5,7 +5,7 @@ product basis: a dense complex density matrix, a real population vector
 for states diagonal in that basis (the common case, since the gradient
 crusher removes all coherences), and the amplitude vector of a pure state.
 The protocol's ensemble, whose present configurations share one population,
-is a diagonal state stored as a one-byte occupancy of those configurations.
+is a diagonal state stored as an occupancy packed one bit per configuration.
 Operators and amplitude vectors stay float64 while their entries are real
 and become complex128 only when they are not.
 
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # Backend capacity: dense keeps full 2^N x 2^N complex matrices (~1 GiB at
-# N=13); the diagonal backend only stores a 2^N vector, one byte per
-# configuration for the protocol's occupancy.
+# N=13); the diagonal backend only stores a 2^N vector, one bit per
+# configuration for the protocol's occupancy (8 MiB at N=26).
 SPIN_LIMITS = {"dense": 13, "diagonal": 26}
 # The largest registers whose state numpy can index (up to 8 * 2^N bytes of
 # float populations, 16 * 4^N of matrix): 59 and 29 spins on a 64-bit build.
@@ -37,8 +37,14 @@ _INDEXABLE_SPINS = {
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
 POPULATION_TOL = 1e-12
-# Lanes per chunk of the in-place occupancy kernel: at most 512 KiB of 8-byte lanes.
-_CHUNK_LANES = 1 << 16
+# Bytes per chunk of the in-place occupancy kernel: at most 512 KiB whatever N is.
+_CHUNK_BYTES = 1 << 19
+# An occupancy of up to 1,024 configurations moves, and is counted, as one Python int.
+_INT_BYTES = 128
+# Within a byte, the bits of the configurations whose index has bit 0, 1 or 2 clear.
+_ALPHA_BYTES = (0x55, 0x33, 0x0F)
+# _DOUBLED[b] holds each bit of byte b twice: the packed mask of a map that ignores the last spin.
+_DOUBLED = sum((np.arange(256) >> i & 1) * 3 << 2 * i for i in range(8)).astype("<u2")
 
 _ID2 = np.eye(2)
 _ALPHA_PROJECTOR = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -176,10 +182,10 @@ class BasisPermutation:
     __slots__ = ("target", "control")
 
     def __init__(self, target: int, control):
-        control = np.asarray(control, order="C")  # the occupancy kernel views its bytes as lanes
+        control = np.asarray(control, order="C")  # the occupancy kernel packs it without a copy
         if control.dtype != np.bool_:
             raise ValueError("control mask must be boolean")
-        if control.ndim < 1 or any(size not in (1, 2) for size in control.shape):
+        if control.ndim < 1 or not {1, 2}.issuperset(control.shape):
             raise ValueError("control mask needs one axis of length 1 or 2 per spin")
         if not 0 <= target < control.ndim:
             raise ValueError(f"target spin {target} out of range for {control.ndim} spins")
@@ -254,11 +260,12 @@ class DiagonalState:
     Represents exactly the density operator whose diagonal equals
     ``populations`` and whose off-diagonal part vanishes. ``weights`` holds
     those float populations or, for an ensemble whose present configurations
-    share one population, a bool occupancy of one byte per configuration:
-    the uniform mixture over its set entries.
+    share one population (the uniform mixture over its set entries), its
+    occupancy packed one bit per configuration: bit i, in little bit order,
+    is configuration i. A bool vector given here is packed.
     """
 
-    __slots__ = ("weights",)
+    __slots__ = ("weights", "dim")
 
     def __init__(self, weights, *, check: bool = True):
         weights = np.asarray(weights)
@@ -276,21 +283,27 @@ class DiagonalState:
                 raise ValueError("negative population beyond tolerance")
             if not abs(weights.sum() - 1.0) <= POPULATION_TOL:
                 raise ValueError("populations do not sum to 1 within tolerance")
-        self.weights = weights
+        self.dim = weights.shape[0]
+        self.weights = np.packbits(weights, bitorder="little") if weights.dtype == np.bool_ else weights
+
+    @classmethod
+    def held(cls, weights: np.ndarray, dim: int) -> "DiagonalState":
+        """A state holding ``weights`` as given, unchecked: float populations or the packed
+        bits of an occupancy, over ``dim`` configurations."""
+        state = cls.__new__(cls)
+        state.weights, state.dim = weights, dim
+        return state
 
     @property
     def populations(self) -> np.ndarray:
         """The float weights themselves; for an occupancy, a new float64 array (8 B per entry)."""
-        weights = self.weights
-        return weights / np.count_nonzero(weights) if weights.dtype == np.bool_ else weights
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[0]
+        if self.weights.dtype != np.uint8:
+            return self.weights
+        return np.unpackbits(self.weights, count=self.dim, bitorder="little") / _count(self.weights)
 
     @property
     def trace(self) -> float:
-        return 1.0 if self.weights.dtype == np.bool_ else float(self.weights.sum())
+        return 1.0 if self.weights.dtype == np.uint8 else float(self.weights.sum())
 
     def longitudinal(self, spin: int) -> float:
         """Tr(rho * 2Iz) of one spin; an occupancy is counted, exact for a power-of-two count."""
@@ -299,14 +312,28 @@ class DiagonalState:
         n_spins = self.dim.bit_length() - 1
         if not 0 <= spin < n_spins:
             raise ValueError(f"spin index {spin} out of range for {n_spins} spins")
-        halves = self.weights.reshape(1 << spin, 2, -1)
-        if self.weights.dtype != np.bool_:
-            return float(halves[:, 0].sum() - halves[:, 1].sum())
-        total, beta = np.count_nonzero(self.weights), np.count_nonzero(halves[:, 1])
-        return (total - 2 * beta) / total
+        packed, run = self.weights.dtype == np.uint8, 1 << (n_spins - 1 - spin)
+        if packed and self.weights.size <= _INT_BYTES:  # Python ints; beta: run ones above run zeros
+            bits, period = int.from_bytes(self.weights.tobytes(), "little"), (1 << 2 * run) - 1
+            beta = (bits & ((1 << self.dim) - 1) // period * ((1 << run) - 1) << run).bit_count()
+            alpha = bits.bit_count() - beta
+        elif packed and run < 8:  # the spin is inside each byte
+            alpha = _count(self.weights & _ALPHA_BYTES[run.bit_length() - 1])
+            beta = _count(self.weights) - alpha
+        else:
+            halves = self.weights.reshape(1 << spin, 2, -1)
+            if not packed:
+                return float(halves[:, 0].sum() - halves[:, 1].sum())
+            alpha, beta = _count(halves[:, 0]), _count(halves[:, 1])
+        return (alpha - beta) / (alpha + beta)
 
     def __repr__(self) -> str:
         return f"DiagonalState(dim={self.dim}, trace={self.trace:.6g})"
+
+
+def _count(bits: np.ndarray) -> int:
+    """Set bits of a uint8 array, counted in 8-byte lanes where its last axis allows."""
+    return int(np.bitwise_count(bits.view("<u8") if bits.shape[-1] % 8 == 0 else bits).sum())
 
 
 class StateVector:
@@ -390,49 +417,47 @@ def expectation(state: DensityOperator | DiagonalState, observable: np.ndarray) 
 
 def _masked_swap(values: np.ndarray, transform: BasisPermutation) -> np.ndarray:
     """An XOR map on a vector over the basis, a masked swap along the target axis: floats
-    map into a new vector, and an occupancy (writable, C-contiguous) moves in place."""
+    map into a new vector, and packed occupancy bits (writable, C-contiguous) move in place."""
     control, target = transform.control, transform.target
     n_spins, pick = control.ndim, (slice(None),) * target
-    if values.dtype != np.bool_:
+    if values.dtype != np.uint8:
         # The target axis reversed, as a view; slicing skips np.flip's per-call axis checks.
         spins = values.reshape((2,) * n_spins)
         return np.where(control, spins[pick + (slice(None, None, -1),)], spins).reshape(-1)
-    # Rows a and b paired by the target, mask c: d = (a ^ b) & c, then a ^= d and b ^= d.
-    if values.size <= _CHUNK_LANES:  # one chunk, in bytes: no loop
-        spins = values.reshape((2,) * n_spins)
-        first, second = spins[pick + (0, ...)], spins[pick + (1, ...)]
-        moved = (first ^ second) & control[pick + (0, ...)]
-        first ^= moved
-        second ^= moved
+    # Bits a and b paired by the target, mask m on the target-alpha ones: d = ((b >> s) ^ a) & m,
+    # a ^= d, b ^= d << s. A small register is one Python int a = b, s = 2^bit. A larger one moves
+    # chunk by chunk, each mask packed from control: a and b are the byte halves (s = 0) where
+    # the target indexes bytes, else a = b, s = 2^bit: a delta swap (Knuth, TAOCP 4A, 7.1.3).
+    bit = n_spins - 1 - target
+    if values.size <= _INT_BYTES:
+        flip = np.zeros((2,) * n_spins, dtype=bool)
+        flip[pick + (0,)] = control[pick + (0,)]
+        flip = int.from_bytes(np.packbits(flip, None, "little").tobytes(), "little")
+        x, run = int.from_bytes(values.tobytes(), "little"), 1 << bit
+        d = ((x >> run) ^ x) & flip
+        memoryview(values)[:] = (x ^ d ^ (d << run)).to_bytes(values.size, "little")
         return values
-    # Chunk by chunk, bytes move in lanes of up to 8 bytes over the last spins after the
-    # target: where the mask reads none of them, a lane takes one mask byte (*=); where it
-    # reads all, its own bytes (&). Flipping the last spin swaps each two-byte lane's bytes.
-    last, halves = control.shape[-1], target < n_spins - 1
-    if halves:
-        width = max(k for k in (1, 2, 3) if k < n_spins - target and set(control.shape[-k:]) == {last})
-        lane = f"u{1 << width}"
-        spins = values.view(lane).reshape((2,) * (n_spins - width))
-        first, second = spins[pick + (0, ...)], spins[pick + (1, ...)]
-        mask = control[pick + (0, ...)]
-        if last == 1:
-            mask = mask[(...,) + (0,) * width]
-        else:
-            mask = mask.reshape(mask.shape[:-width] + (-1,)).view(lane)[..., 0]
-    else:
-        first = values.view(np.uint16).reshape((2,) * target)
-        second, mask = first.view(first.dtype.newbyteorder()), control[..., 0]
-    select = np.multiply if last == 1 else np.bitwise_and
-    block = min(first.ndim, _CHUNK_LANES.bit_length() - 1)  # lane axes per chunk
-    moved, mask = np.empty((2,) * block, first.dtype), np.broadcast_to(mask, first.shape)
-    for index in np.ndindex((2,) * (first.ndim - block)):
-        at = index + (...,)  # views, even where the chunk is one lane
-        a, b = first[at], second[at]
-        np.bitwise_xor(a, b, out=moved)
-        select(moved, mask[at], out=moved)
-        a ^= moved
-        if halves:
-            b ^= moved
+    first = second = words = values.reshape((2,) * (n_spins - 3))
+    shift, spins = (1 << bit, min(n_spins, 3)) if bit < 3 else (0, 3)  # spins = those inside a byte
+    if not shift:
+        first, second, control = words[pick + (0, ...)], words[pick + (1, ...)], control[pick + (0, ...)]
+    loops = max(0, first.ndim - (_CHUNK_BYTES.bit_length() - 1))  # leading byte axes looped over
+    control = np.broadcast_to(control, (2,) * loops + control.shape[loops:])
+    moved = np.empty(first.shape[loops:], np.uint8)
+    for at in (index + (...,) for index in np.ndindex((2,) * loops)):  # views, even of one byte
+        a, b, mask = first[at], second[at], control[at]
+        shape, tail = mask.shape[:-spins], mask.shape[-spins:]
+        doubled = tail == (2,) * (spins - 1) + (1,)  # through a table: copying the mask is slow
+        if not doubled and tail != (2,) * spins:
+            mask = mask | np.zeros(shape + (2,) * spins, dtype=bool)
+        mask = np.packbits(mask, bitorder="little")
+        mask = (_DOUBLED[mask].view(np.uint8) if doubled else mask)[: 1 << shape.count(2)].reshape(shape)
+        d = np.right_shift(b, shift, out=moved)
+        d ^= a
+        d &= mask & _ALPHA_BYTES[bit] if shift else mask
+        a ^= d
+        d <<= shift
+        b ^= d
     return values
 
 
@@ -456,9 +481,9 @@ def conjugate(state, transform, *, in_place: bool = False):
     if isinstance(transform, BasisPermutation):
         if isinstance(state, DiagonalState):
             weights, flags = state.weights, state.weights.flags
-            if weights.dtype == np.bool_ and not (in_place and flags.writeable and flags.c_contiguous):
+            if weights.dtype == np.uint8 and not (in_place and flags.writeable and flags.c_contiguous):
                 weights = weights.copy()
-            return DiagonalState(_masked_swap(weights, transform), check=False)
+            return DiagonalState.held(_masked_swap(weights, transform), state.dim)
         if isinstance(state, StateVector):
             return StateVector(_masked_swap(state.amplitudes, transform))
         # (U rho U^†)[a, b] = rho[m(a), m(b)] for the map m, an involution: it swaps

@@ -96,12 +96,14 @@ def prepare_liouville_input(system: SpinSystem) -> DiagonalState:
     Closed form of the preparation sequence (90-degree pulse on the
     inputs, then crusher): populations 2^-n on every basis state with I0
     in alpha (and the detection spin in alpha, when separate), zero
-    elsewhere. Held as the occupancy of those states.
+    elsewhere. Held as the occupancy of those states, written packed: the
+    first half of the bits (I0 alpha; part of one byte below 16 states), all
+    set, or every other one (0x55 bytes) when the detection spin is separate.
     """
-    occupancy = np.zeros(system.dim, dtype=bool)
-    # Axes: I0, the inputs as one axis, the detection spin (length 1 if absent).
-    occupancy.reshape(2, 1 << system.n_inputs, -1)[0, :, 0] = True
-    return DiagonalState(occupancy, check=False)
+    dim = system.dim
+    bits = np.zeros(-(-dim // 8), dtype=np.uint8)
+    bits[: -(-dim // 16)] = (0x55 if system.has_detection_spin else 0xFF) & ((1 << min(dim // 2, 8)) - 1)
+    return DiagonalState.held(bits, dim)
 
 
 def classify_signal(signal: float, tol: float = DEFAULT_SIGNAL_TOL) -> Verdict:

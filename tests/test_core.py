@@ -73,6 +73,29 @@ def xor_maps_up_to_five_spins():
                     yield fanout_unitary(system, control, target)
 
 
+def pack(occupancy):
+    """A bool occupancy packed one bit per configuration, as DiagonalState holds it."""
+    return np.packbits(occupancy, bitorder="little")
+
+
+def unpack(bits, dim):
+    return np.unpackbits(bits, count=dim, bitorder="little").astype(bool)
+
+
+# Small occupancies move and are counted as one Python int; these settings send them
+# through the numpy kernel and count, in one chunk or in chunks of one byte.
+KERNELS = {
+    "python int": {},
+    "numpy, one chunk": {"_INT_BYTES": 0},
+    "numpy, one byte per chunk": {"_INT_BYTES": 0, "_CHUNK_BYTES": 1},
+}
+
+
+def use_kernel(monkeypatch, kernel):
+    for name, value in KERNELS[kernel].items():
+        monkeypatch.setattr(spindj.core, name, value)
+
+
 @st.composite
 def xor_maps(draw, max_spins):
     """A random target spin and a random boolean mask over the other spins,
@@ -600,12 +623,12 @@ class TestXorPermutation:
                 at = tuple(bit if size == 2 else 0 for bit, size in zip(bits, xor.control.shape))
                 expected.append(i ^ (int(xor.control[at]) << (n_spins - 1 - xor.target)))
             assert mapping.tolist() == expected
-            # an occupancy, by the bool kernel, which moves a copy here in place:
+            # an occupancy, by the packed kernel, which moves its bits here in place:
             # the set entry at i moves to expected[i]
             occupancy = rng.random(xor.dim) < 0.5
-            moved = spindj.core._masked_swap(occupancy.copy(), xor)
-            assert moved.dtype == np.bool_
-            assert np.array_equal(moved[expected], occupancy)
+            moved = spindj.core._masked_swap(pack(occupancy), xor)
+            assert moved.dtype == np.uint8
+            assert np.array_equal(unpack(moved, xor.dim)[expected], occupancy)
             # diagonal: |i> -> |mapping[i]> carries population p[i] to mapping[i]
             populations = rng.random(xor.dim)
             state = DiagonalState(populations / populations.sum())
@@ -625,7 +648,7 @@ class TestXorPermutation:
     @settings(deadline=None)
     @given(data=st.data(), n_spins=st.integers(1, 7))
     def test_masked_swap_moves_an_occupancy_as_it_moves_floats(self, data, n_spins):
-        # The bool XOR branch, in place, against the np.where branch on the same values.
+        # The packed XOR branch, in place, against the np.where branch on the same values.
         target = data.draw(st.integers(0, n_spins - 1))
         shape = [data.draw(st.sampled_from([1, 2])) for _ in range(n_spins)]
         shape[target] = 1
@@ -633,35 +656,42 @@ class TestXorPermutation:
         rng = np.random.default_rng(seed)
         xor = BasisPermutation(target, rng.random(shape) < 0.5)
         occupancy = rng.random(1 << n_spins) < 0.5
-        before = occupancy.copy()
-        moved = spindj.core._masked_swap(occupancy, xor)
-        assert moved.dtype == np.bool_ and np.shares_memory(moved, occupancy)
-        assert np.array_equal(moved, spindj.core._masked_swap(before.astype(float), xor))
+        want = spindj.core._masked_swap(occupancy.astype(float), xor)
+        for kernel in KERNELS:
+            with pytest.MonkeyPatch.context() as patch:
+                use_kernel(patch, kernel)
+                bits = pack(occupancy)
+                moved = spindj.core._masked_swap(bits, xor)
+            assert moved.dtype == np.uint8 and np.shares_memory(moved, bits)
+            assert np.array_equal(unpack(moved, xor.dim), want), kernel
 
     @pytest.mark.parametrize("case", ["fanout onto the last spin", "separate-layout oracle"])
-    def test_two_byte_lanes_move_an_occupancy_by_the_bit_rule(self, case, monkeypatch):
-        # Six spins, I0 (bit 5) to the detection spin (bit 0); the inputs are bits 4..1.
-        # Chunks of four lanes, so the 64 bytes move in two-byte lanes, chunk by chunk.
-        monkeypatch.setattr(spindj.core, "_CHUNK_LANES", 4)
-        system, table = SpinSystem(4, has_detection_spin=True), "0110100110010110"
+    def test_the_separate_layout_maps_move_an_occupancy_by_the_bit_rule(self, case, monkeypatch):
+        # Eight spins, I0 (bit 7) to the detection spin (bit 0); the inputs are bits 6..1.
+        # The numpy kernel, one byte per chunk: FANOUT by a delta swap inside each byte,
+        # the oracle by a mask that holds each table bit twice.
+        use_kernel(monkeypatch, "numpy, one byte per chunk")
+        system = SpinSystem(6, has_detection_spin=True)
+        table = random_balanced(6, 73).to_string()
         if case == "fanout onto the last spin":
-            xor, image = fanout_unitary(system, 0, system.detection), lambda i: i ^ (i >> 5)
+            xor, image = fanout_unitary(system, 0, system.detection), lambda i: i ^ (i >> 7)
         else:
             xor = reversible_oracle(system, TruthTable.from_string(table))
-            image = lambda i: i ^ (int(table[(i >> 1) & 15]) << 5)
+            image = lambda i: i ^ (int(table[(i >> 1) & 63]) << 7)
         assert xor.control.shape[-1] == 1  # no control bit on the last spin
         occupancy = np.random.default_rng(73).random(system.dim) < 0.5
-        before = occupancy.copy()
-        moved = spindj.core._masked_swap(occupancy, xor)
-        assert moved.dtype == np.bool_ and np.shares_memory(moved, occupancy)
-        assert np.array_equal(moved[[image(i) for i in range(system.dim)]], before)
+        bits = pack(occupancy)
+        moved = spindj.core._masked_swap(bits, xor)
+        assert moved.dtype == np.uint8 and np.shares_memory(moved, bits)
+        images = [image(i) for i in range(system.dim)]
+        assert np.array_equal(unpack(moved, system.dim)[images], occupancy)
 
     def test_a_strided_occupancy_moves_as_its_contiguous_copy(self):
-        # A strided vector cannot be viewed as lanes, so conjugate moves a contiguous copy.
+        # A strided bool vector is packed into new contiguous bits, as its copy is.
         system = SpinSystem(3, has_detection_spin=True)
         every_other = (np.random.default_rng(74).random(2 * system.dim) < 0.5)[::2]
         strided = DiagonalState(every_other, check=False)
-        assert not strided.weights.flags.c_contiguous
+        assert not every_other.flags.c_contiguous and strided.weights.flags.c_contiguous
         contiguous = DiagonalState(every_other.copy(), check=False)
         for xor in (
             reversible_oracle(system, TruthTable.from_string("01101001")),
@@ -671,46 +701,73 @@ class TestXorPermutation:
             got = conjugate(strided, xor).weights
             assert np.array_equal(got, conjugate(contiguous, xor).weights)
 
-    # Chunks of one to four lanes, so every map crosses chunk boundaries at N <= 5.
-    @pytest.mark.parametrize("chunk_lanes", [1, 2, 3, 4])
-    def test_every_map_moves_an_occupancy_in_place_chunk_by_chunk(self, chunk_lanes, monkeypatch):
-        monkeypatch.setattr(spindj.core, "_CHUNK_LANES", chunk_lanes)
-        rng = np.random.default_rng(75 + chunk_lanes)
+    # The numpy kernel in chunks of one to four bytes, so every map crosses chunk boundaries
+    # at N <= 5, and the Python int kernel.
+    @pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 4, None])
+    def test_every_map_moves_an_occupancy_in_place_chunk_by_chunk(self, chunk_bytes, monkeypatch):
+        if chunk_bytes:
+            monkeypatch.setattr(spindj.core, "_INT_BYTES", 0)
+            monkeypatch.setattr(spindj.core, "_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(75 + (chunk_bytes or 0))
         for xor in xor_maps_up_to_five_spins():
             occupancy = rng.random(xor.dim) < 0.5
-            want = occupancy[xor.mapping]
-            before = occupancy.copy()
-            copied = conjugate(DiagonalState(occupancy, check=False), xor)
+            want, bits = pack(occupancy[xor.mapping]), pack(occupancy)
+            before = bits.copy()
+            copied = conjugate(DiagonalState.held(bits, xor.dim), xor)
             assert np.array_equal(copied.weights, want)
-            assert np.array_equal(occupancy, before)
-            assert not np.shares_memory(copied.weights, occupancy)
-            handed = conjugate(DiagonalState(occupancy, check=False), xor, in_place=True)
+            assert np.array_equal(bits, before)
+            assert not np.shares_memory(copied.weights, bits)
+            handed = conjugate(DiagonalState.held(bits, xor.dim), xor, in_place=True)
             assert np.array_equal(handed.weights, want)
-            assert np.shares_memory(handed.weights, occupancy)
+            assert np.shares_memory(handed.weights, bits)
             # A mask given as a strided view moves the occupancy as its contiguous copy does.
             strided = np.repeat(xor.control, 2, axis=-1)[..., ::2]
             back = conjugate(handed, BasisPermutation(xor.target, strided), in_place=True)
             assert np.array_equal(back.weights, before)
 
+    # Two to eight spins: under one byte, one byte, one 64-bit lane and several lanes;
+    # every target, under every pattern of length-1 mask axes, by each kernel and count.
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_every_target_and_mask_shape_on_two_to_eight_spins(self, kernel, monkeypatch):
+        use_kernel(monkeypatch, kernel)
+        rng = np.random.default_rng(77)
+        for n_spins in range(2, 9):
+            shapes = itertools.product((1, 2), repeat=n_spins)
+            for target, shape in itertools.product(range(n_spins), list(shapes)):
+                if shape[target] != 1:
+                    continue
+                xor = BasisPermutation(target, rng.random(shape) < 0.5)
+                occupancy = rng.random(xor.dim) < 0.5
+                occupancy[rng.integers(xor.dim)] = True
+                moved = conjugate(DiagonalState(occupancy), xor)
+                want = occupancy[xor.mapping]  # the gather by the bit rule
+                assert np.array_equal(moved.weights, pack(want)), (xor, shape)
+                floats = DiagonalState(want / np.count_nonzero(want))
+                for spin in range(n_spins):
+                    beta = np.count_nonzero(want.reshape(1 << spin, 2, -1)[:, 1])
+                    total = np.count_nonzero(want)
+                    assert moved.longitudinal(spin) == (total - 2 * beta) / total
+                    assert abs(moved.longitudinal(spin) - floats.longitudinal(spin)) < 1e-12
+
     # One rule: a handed-over occupancy the kernel cannot move where it lies is copied.
     @pytest.mark.parametrize("kind", ["strided", "read-only"])
     def test_a_handed_over_occupancy_that_cannot_be_moved_in_place_is_copied(self, kind):
-        system = SpinSystem(3, has_detection_spin=True)
-        values = np.random.default_rng(76).random(2 * system.dim) < 0.5
+        system = SpinSystem(4, has_detection_spin=True)
+        values = pack(np.random.default_rng(76).random(2 * system.dim) < 0.5)
         if kind == "strided":
-            occupancy = values[::2]
+            bits = values[::2]
         else:
-            occupancy = values[: system.dim]
-            occupancy.setflags(write=False)
-        before = occupancy.copy()
+            bits = values[: system.dim // 8]
+            bits.setflags(write=False)
+        before = unpack(bits, system.dim)
         for xor in (
-            reversible_oracle(system, TruthTable.from_string("01101001")),
+            reversible_oracle(system, TruthTable.from_string("0110100110010110")),
             fanout_unitary(system, 0, system.detection),
         ):
-            out = conjugate(DiagonalState(occupancy, check=False), xor, in_place=True)
-            assert np.array_equal(out.weights, before[xor.mapping])
-            assert not np.shares_memory(out.weights, occupancy)
-            assert np.array_equal(occupancy, before)
+            out = conjugate(DiagonalState.held(bits, system.dim), xor, in_place=True)
+            assert np.array_equal(out.weights, pack(before[xor.mapping]))
+            assert not np.shares_memory(out.weights, bits)
+            assert np.array_equal(unpack(bits, system.dim), before)
 
     def test_input_state_is_not_mutated(self):
         rng = np.random.default_rng(72)
@@ -868,7 +925,7 @@ class TestStateValidation:
 
     def test_occupancy_is_the_uniform_mixture_over_its_set_entries(self):
         occupancy = DiagonalState(np.array([True, False, True, False]))
-        assert occupancy.weights.dtype == np.bool_
+        assert occupancy.weights.tolist() == [0b0101] and occupancy.dim == 4  # bit i is entry i
         assert np.array_equal(occupancy.populations, [0.5, 0, 0.5, 0])
         assert occupancy.trace == 1.0
         floats = DiagonalState(occupancy.populations)

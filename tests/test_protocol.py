@@ -236,19 +236,20 @@ class TestLiouvilleRun:
 
 
 class TestOccupancy:
-    """The diagonal run path holds the ensemble as a bool occupancy, one byte
+    """The diagonal run path holds the ensemble as an occupancy packed one bit
     per configuration, of the 2^n configurations that share population 2^-n."""
 
+    # One to seven inputs: 4 to 512 configurations, under one byte to several 64-bit lanes.
     @pytest.mark.parametrize("separate", [False, True])
-    def test_prepared_state_and_oracle_output_are_one_byte_occupancies(self, separate):
-        n = 5
+    @pytest.mark.parametrize("n", [1, 2, 5, 7])
+    def test_prepared_state_and_oracle_output_are_one_bit_occupancies(self, separate, n):
         system = SpinSystem(n, has_detection_spin=separate)
         prepared = prepare_liouville_input(system)
         output = oracle_channel(prepared, reversible_oracle(system, random_balanced(n, 3)))
         for state in (prepared, output):
-            assert state.weights.dtype == np.bool_
-            assert state.weights.nbytes == system.dim
-            assert np.count_nonzero(state.weights) == 2**n
+            assert state.weights.dtype == np.uint8
+            assert state.weights.nbytes == -(-system.dim // 8)
+            assert np.bitwise_count(state.weights).sum() == 2**n
             assert state.trace == 1.0
         closed = np.zeros(system.dim)
         closed.reshape(2, 1 << n, -1)[0, :, 0] = 1.0 / (1 << n)
@@ -259,9 +260,9 @@ class TestOccupancy:
 
     @pytest.mark.parametrize("separate", [False, True])
     def test_a_diagonal_run_holds_one_occupancy(self, separate):
-        # 21 spins: a 2 MiB occupancy, which the oracle and FANOUT move in place through
-        # a buffer of at most 512 KiB. The table is built before tracing starts, and a
-        # warm-up run leaves out what numpy allocates only once.
+        # 21 spins: a 256 KiB occupancy, which the oracle and FANOUT move in place through
+        # chunks of at most 512 KiB; a one-byte occupancy alone would be 2 MiB. The table is
+        # built before tracing starts, and a warm-up run leaves out what numpy allocates once.
         n = 20 - separate
         system = SpinSystem(n, has_detection_spin=separate)
         table = random_balanced(n, 3)
@@ -273,7 +274,7 @@ class TestOccupancy:
         finally:
             tracemalloc.stop()
         assert outcome.verdict is Verdict.BALANCED
-        assert peak < 1.5 * system.dim
+        assert peak < system.dim // 8 + (512 << 10)  # the occupancy and one chunk
 
     def test_run_path_never_builds_the_float_populations(self, monkeypatch):
         # At 25 spins a float view would add 256 MiB to a 32 MiB occupancy.

@@ -36,6 +36,8 @@ UNREACHED = {
     "oracle.TruthTable.to_string": "debugging: a table as its 0/1 line, used by __repr__",
     "core.DensityOperator.trace": "a state's trace, read by __repr__ and the tests",
     "core.DiagonalState.trace": "a state's trace, read by __repr__ and the tests",
+    "core.DiagonalState.__init__": "a state from given float populations or a bool occupancy, "
+    "which it packs (the crusher, the tests); a run writes its occupancy packed, through held",
     "core.BasisPermutation.to_operator": "the dense matrix the tests check the gather against",
     "core.SpinSystem.basis_index": "names a basis state by its 0/1 configuration",
     "core.is_unitary_matrix": "the check an Operator built without check=False runs (rotation_unitary, the tests)",
