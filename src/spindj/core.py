@@ -43,8 +43,6 @@ _CHUNK_BYTES = 1 << 19
 _INT_BYTES = 128
 # Within a byte, the bits of the configurations whose index has bit 0, 1 or 2 clear.
 _ALPHA_BYTES = (0x55, 0x33, 0x0F)
-# _DOUBLED[b] holds each bit of byte b twice: the packed mask of a map that ignores the last spin.
-_DOUBLED = sum((np.arange(256) >> i & 1) * 3 << 2 * i for i in range(8)).astype("<u2")
 
 _ID2 = np.eye(2)
 _ALPHA_PROJECTOR = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -176,13 +174,16 @@ class BasisPermutation:
     bijection, so no index array is built or checked. The oracle
     ``y ^= f(x)``, FANOUT and inversion all take this form. Any phases a
     physical realization would carry are discarded; populations never
-    see them.
+    see them. ``mask`` holds ``control`` packed as the occupancy kernel
+    reads it: a byte per configuration of the first N - 3 spins (length-1
+    axes kept), whose bit k (little bit order) is configuration k of the
+    last three; bits where the target is beta are never read.
     """
 
-    __slots__ = ("target", "control")
+    __slots__ = ("target", "mask", "n_spins")
 
     def __init__(self, target: int, control):
-        control = np.asarray(control, order="C")  # the occupancy kernel packs it without a copy
+        control = np.asarray(control)
         if control.dtype != np.bool_:
             raise ValueError("control mask must be boolean")
         if control.ndim < 1 or not {1, 2}.issuperset(control.shape):
@@ -191,20 +192,34 @@ class BasisPermutation:
             raise ValueError(f"target spin {target} out of range for {control.ndim} spins")
         if control.shape[target] != 1:
             raise ValueError("control mask must not depend on the target spin")
-        self.target = target
-        self.control = control
+        full = control | np.zeros((2,) * min(control.ndim, 3), bool)  # a byte per 8 configurations
+        self.target, self.n_spins = target, control.ndim
+        self.mask = np.packbits(full, None, "little").reshape(control.shape[:-3])
+
+    @classmethod
+    def held(cls, target: int, mask: np.ndarray, n_spins: int) -> "BasisPermutation":
+        """A map holding a packed ``mask`` as given, unchecked."""
+        xor = cls.__new__(cls)
+        xor.target, xor.mask, xor.n_spins = target, mask, n_spins
+        return xor
 
     @property
     def dim(self) -> int:
-        return 1 << self.control.ndim
+        return 1 << self.n_spins
+
+    @property
+    def control(self) -> np.ndarray:
+        """The mask as booleans over the register's axes, the target's of length 1, built anew."""
+        inner = (2,) * min(self.n_spins, 3)
+        bits = np.unpackbits(self.mask[..., None], -1, 1 << len(inner), "little").view(np.bool_)
+        return bits.reshape(self.mask.shape + inner)[(slice(None),) * self.target + (slice(0, 1),)]
 
     @property
     def mapping(self) -> np.ndarray:
         """The index form ``|i> -> |mapping[i]>``, built anew on each access."""
         # The bit rule itself, kept apart from the state kernel so a dense run checks it.
-        n_spins = self.control.ndim
-        control = np.broadcast_to(self.control, (2,) * n_spins).reshape(-1)
-        return np.arange(self.dim) ^ (control << (n_spins - 1 - self.target))
+        control = np.broadcast_to(self.control, (2,) * self.n_spins).reshape(-1)
+        return np.arange(self.dim) ^ (control << (self.n_spins - 1 - self.target))
 
     def to_operator(self) -> Operator:
         matrix = np.zeros((self.dim, self.dim))
@@ -317,8 +332,9 @@ class DiagonalState:
             bits, period = int.from_bytes(self.weights.tobytes(), "little"), (1 << 2 * run) - 1
             beta = (bits & ((1 << self.dim) - 1) // period * ((1 << run) - 1) << run).bit_count()
             alpha = bits.bit_count() - beta
-        elif packed and run < 8:  # the spin is inside each byte
-            alpha = _count(self.weights & _ALPHA_BYTES[run.bit_length() - 1])
+        elif packed and run < 8:  # the spin is inside each byte: its alpha bits, counted by chunk
+            chunks = np.split(self.weights, range(_CHUNK_BYTES, self.weights.size, _CHUNK_BYTES))
+            alpha = sum(_count(chunk & _ALPHA_BYTES[run.bit_length() - 1]) for chunk in chunks)
             beta = _count(self.weights) - alpha
         else:
             halves = self.weights.reshape(1 << spin, 2, -1)
@@ -418,46 +434,40 @@ def expectation(state: DensityOperator | DiagonalState, observable: np.ndarray) 
 def _masked_swap(values: np.ndarray, transform: BasisPermutation) -> np.ndarray:
     """An XOR map on a vector over the basis, a masked swap along the target axis: floats
     map into a new vector, and packed occupancy bits (writable, C-contiguous) move in place."""
-    control, target = transform.control, transform.target
-    n_spins, pick = control.ndim, (slice(None),) * target
+    mask, target, n_spins = transform.mask, transform.target, transform.n_spins
+    pick = (slice(None),) * target
     if values.dtype != np.uint8:
         # The target axis reversed, as a view; slicing skips np.flip's per-call axis checks.
         spins = values.reshape((2,) * n_spins)
-        return np.where(control, spins[pick + (slice(None, None, -1),)], spins).reshape(-1)
+        return np.where(transform.control, spins[pick + (slice(None, None, -1),)], spins).reshape(-1)
     # Bits a and b paired by the target, mask m on the target-alpha ones: d = ((b >> s) ^ a) & m,
     # a ^= d, b ^= d << s. A small register is one Python int a = b, s = 2^bit. A larger one moves
-    # chunk by chunk, each mask packed from control: a and b are the byte halves (s = 0) where
-    # the target indexes bytes, else a = b, s = 2^bit: a delta swap (Knuth, TAOCP 4A, 7.1.3).
+    # chunk by chunk, slicing the mask's bytes: a and b are the byte halves (s = 0) where the
+    # target indexes bytes, else a = b, s = 2^bit: a delta swap (Knuth, TAOCP 4A, 7.1.3).
     bit = n_spins - 1 - target
     if values.size <= _INT_BYTES:
-        flip = np.zeros((2,) * n_spins, dtype=bool)
-        flip[pick + (0,)] = control[pick + (0,)]
-        flip = int.from_bytes(np.packbits(flip, None, "little").tobytes(), "little")
-        x, run = int.from_bytes(values.tobytes(), "little"), 1 << bit
-        d = ((x >> run) ^ x) & flip
+        x, run, alpha = int.from_bytes(values.tobytes(), "little"), 1 << bit, -1
+        if target or 2 * mask.size != values.size:  # else the I0-alpha half, as an oracle's mask is
+            if mask.size < values.size:  # its broadcast axes filled out, faster than np.broadcast_to
+                mask = mask | np.zeros((2,) * (n_spins - 3), np.uint8)
+            alpha = ((1 << 8 * values.size) - 1) // ((1 << 2 * run) - 1) * ((1 << run) - 1)
+        d = ((x >> run) ^ x) & int.from_bytes(mask.tobytes(), "little") & alpha
         memoryview(values)[:] = (x ^ d ^ (d << run)).to_bytes(values.size, "little")
         return values
     first = second = words = values.reshape((2,) * (n_spins - 3))
-    shift, spins = (1 << bit, min(n_spins, 3)) if bit < 3 else (0, 3)  # spins = those inside a byte
-    if not shift:
-        first, second, control = words[pick + (0, ...)], words[pick + (1, ...)], control[pick + (0, ...)]
+    shift, mask = (1 << bit, mask & _ALPHA_BYTES[bit]) if bit < 3 else (0, mask[pick + (0, ...)])
+    if not shift:  # the target indexes bytes
+        first, second = words[pick + (0, ...)], words[pick + (1, ...)]
     loops = max(0, first.ndim - (_CHUNK_BYTES.bit_length() - 1))  # leading byte axes looped over
-    control = np.broadcast_to(control, (2,) * loops + control.shape[loops:])
+    mask = np.broadcast_to(mask, (2,) * loops + mask.shape[loops:])
     moved = np.empty(first.shape[loops:], np.uint8)
     for at in (index + (...,) for index in np.ndindex((2,) * loops)):  # views, even of one byte
-        a, b, mask = first[at], second[at], control[at]
-        shape, tail = mask.shape[:-spins], mask.shape[-spins:]
-        doubled = tail == (2,) * (spins - 1) + (1,)  # through a table: copying the mask is slow
-        if not doubled and tail != (2,) * spins:
-            mask = mask | np.zeros(shape + (2,) * spins, dtype=bool)
-        mask = np.packbits(mask, bitorder="little")
-        mask = (_DOUBLED[mask].view(np.uint8) if doubled else mask)[: 1 << shape.count(2)].reshape(shape)
-        d = np.right_shift(b, shift, out=moved)
-        d ^= a
-        d &= mask & _ALPHA_BYTES[bit] if shift else mask
-        a ^= d
-        d <<= shift
-        b ^= d
+        a, b, m = first[at], second[at], mask[at]
+        if m.max():  # an all-zero mask moves nothing
+            d = np.bitwise_xor(np.right_shift(b, shift, out=moved) if shift else b, a, out=moved)
+            d &= m
+            a ^= d
+            b ^= np.left_shift(d, shift, out=d) if shift else d
     return values
 
 

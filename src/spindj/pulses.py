@@ -87,12 +87,16 @@ def fanout_unitary(system: SpinSystem, control: int, target: int) -> BasisPermut
     """Reversible copy: XOR the control spin's bit onto the target spin.
 
     With the target prepared in alpha this copies the control's classical
-    value (a controlled-NOT on basis states).
+    value (a controlled-NOT on basis states). Its mask is written packed.
     """
-    system.check_spin(control)  # a negative control would index shape from the end
-    shape = [1] * system.n_spins
-    shape[control] = 2
-    return BasisPermutation(target, np.array([False, True]).reshape(shape))
+    bit, shape = system.bit_position(control), [1] * max(0, system.n_spins - 3)
+    if target == control or not 0 <= target < system.n_spins:
+        raise ValueError(f"FANOUT needs two distinct spins of the register, got {control} and {target}")
+    if bit < 3:  # the bits of each byte where the control is beta
+        mask = (0xAA, 0xCC, 0xF0)[bit] & (1 << min(system.dim, 8)) - 1
+    else:  # no byte where the control is alpha, all where it is beta
+        shape[control], mask = 2, [0, 0xFF]
+    return BasisPermutation.held(target, np.array(mask, np.uint8).reshape(shape), system.n_spins)
 
 
 def inversion_unitary(system: SpinSystem, target: int) -> BasisPermutation:

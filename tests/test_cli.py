@@ -142,6 +142,19 @@ class TestRunCommand:
         assert json.loads(out)["records"][0]["verdict"] == "balanced"
         assert peak < 1.5 * matrix_bytes
 
+    def test_a_constant_run_allocates_no_byte_per_input_array(self, capsys):
+        # 21 spins: the table is 128 KiB packed and the occupancy 256 KiB; one byte per
+        # input, as an unpacked table or mask would hold, is 1 MiB.
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "run", "--n", "20", "--oracle", "constant0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(out)["records"][0]["signal"] == 1.0
+        assert peak < 1 << 20
+
     def test_pseudo_pure_verdict_is_undecided_below_the_noise_floor(self, capsys):
         # eps(9 spins) = 9e-5/512 ~ 1.8e-7 <= 2 sigma with the default sigma = 1e-6
         code, out, _ = run_cli(

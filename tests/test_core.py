@@ -678,13 +678,58 @@ class TestXorPermutation:
         else:
             xor = reversible_oracle(system, TruthTable.from_string(table))
             image = lambda i: i ^ (int(table[(i >> 1) & 63]) << 7)
-        assert xor.control.shape[-1] == 1  # no control bit on the last spin
+        control = xor.control  # no control bit on the last spin
+        assert np.array_equal(control, np.broadcast_to(control[..., :1], control.shape))
         occupancy = np.random.default_rng(73).random(system.dim) < 0.5
         bits = pack(occupancy)
         moved = spindj.core._masked_swap(bits, xor)
         assert moved.dtype == np.uint8 and np.shares_memory(moved, bits)
         images = [image(i) for i in range(system.dim)]
         assert np.array_equal(unpack(moved, system.dim)[images], occupancy)
+
+    # Oracles whose masks are the packed table (ancilla layout) or its spread (separate
+    # layout), on 2 to 10 spins, by each kernel: the gather by the bit rule and the float
+    # branch agree with the occupancy kernel.
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("separate", [False, True])
+    def test_packed_oracles_move_an_occupancy_as_the_gather_and_the_float_branch(
+        self, kernel, separate, monkeypatch
+    ):
+        use_kernel(monkeypatch, kernel)
+        rng = np.random.default_rng(78)
+        for n in range(1, 9):
+            system = SpinSystem(n, has_detection_spin=separate)
+            tables = [TruthTable.constant(n, 0), TruthTable.constant(n, 1), random_balanced(n, n)]
+            tables.append(TruthTable(rng.integers(0, 2, size=1 << n)))
+            for table in tables:
+                xor = reversible_oracle(system, table)
+                occupancy = rng.random(system.dim) < 0.5
+                gathered = occupancy[xor.mapping]
+                floats = spindj.core._masked_swap(occupancy.astype(float), xor)
+                moved = spindj.core._masked_swap(pack(occupancy), xor)
+                assert np.array_equal(unpack(moved, system.dim), gathered), (n, table)
+                assert np.array_equal(floats, gathered.astype(float)), (n, table)
+
+    # Chunks of four bytes on 11 to 13 spins: every chunk of a constant-0 oracle, and FANOUT's
+    # chunks on the I0-alpha half, have an all-zero mask and are skipped. A constant-0 oracle
+    # writes nothing, which a read-only occupancy shows.
+    @pytest.mark.parametrize("separate", [False, True])
+    def test_constant_oracles_move_an_occupancy_in_chunks(self, separate, monkeypatch):
+        use_kernel(monkeypatch, "numpy, one chunk")
+        monkeypatch.setattr(spindj.core, "_CHUNK_BYTES", 4)
+        rng = np.random.default_rng(80)
+        for n in (10, 11):
+            system = SpinSystem(n, has_detection_spin=separate)
+            maps = [reversible_oracle(system, TruthTable.constant(n, value)) for value in (0, 1)]
+            if separate:
+                maps.append(fanout_unitary(system, 0, system.detection))
+            for xor in maps:
+                occupancy = rng.random(system.dim) < 0.5
+                moved = spindj.core._masked_swap(pack(occupancy), xor)
+                assert np.array_equal(unpack(moved, system.dim), occupancy[xor.mapping])
+            bits = pack(occupancy)
+            bits.setflags(write=False)
+            assert spindj.core._masked_swap(bits, maps[0]) is bits  # constant 0: nothing moves
 
     def test_a_strided_occupancy_moves_as_its_contiguous_copy(self):
         # A strided bool vector is packed into new contiguous bits, as its copy is.

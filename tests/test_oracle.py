@@ -15,6 +15,7 @@ from spindj.oracle import (
     OracleClass,
     TruthTable,
     TruthTableError,
+    _spread_twice,
     classify,
     oracle_channel,
     random_balanced,
@@ -68,7 +69,8 @@ class TestTruthTable:
             TruthTable.constant(2, 2)
 
     def test_a_valid_uint8_table_is_checked_without_a_mask(self):
-        # numpy reports its buffers to tracemalloc; a 2^20-entry mask is 1 MiB.
+        # numpy reports its buffers to tracemalloc; a 2^20-entry mask is 1 MiB, and the
+        # table packed one bit per entry is 128 KiB.
         bits = np.zeros(1 << 20, dtype=np.uint8)
         bits[::3] = 1
         tracemalloc.start()
@@ -77,7 +79,7 @@ class TestTruthTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 << 10
+        assert peak < (1 << 20) // 8 + (64 << 10)
 
     def test_from_string_holds_only_the_encoded_line_and_the_table(self):
         text = "01" * (1 << 19)
@@ -87,8 +89,9 @@ class TestTruthTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.n == 20
-        assert peak <= 2 * table.bits.nbytes + (4 << 10)  # 4 KiB for object headers
+        assert table.n == 20 and table.packed.nbytes == len(table) // 8
+        # The encoded line and its digits, one byte per entry each; the packed table is smaller.
+        assert peak <= 2 * len(table) + (4 << 10)  # 4 KiB for object headers
 
     def test_lookup(self):
         table = TruthTable.from_string("0110")
@@ -101,6 +104,80 @@ class TestTruthTable:
         # numpy indexing would read -1 as f(3).
         with pytest.raises(ValueError, match=f"argument {x} out of range 0..3"):
             TruthTable.from_string("0001")(x)
+
+
+class TestPackedTable:
+    """The packed bytes against an unpacked reference: bit x, in little bit order, is f(x)."""
+
+    @staticmethod
+    def check(table, reference):
+        n, size = table.n, len(reference)
+        assert len(table) == size == 1 << n
+        assert table.packed.dtype == np.uint8 and table.packed.size == max(1, size // 8)
+        # the bits past the table in its one byte (n <= 2) are zero
+        assert not np.unpackbits(table.packed, bitorder="little")[size:].any()
+        assert table.bits.tolist() == reference
+        assert [table(x) for x in range(size)] == reference
+        assert table.to_string() == "".join(map(str, reference))
+        ones = sum(reference)
+        assert table.ones == ones
+        want = {0: OracleClass.CONSTANT0, size: OracleClass.CONSTANT1, size // 2: OracleClass.BALANCED}
+        assert classify(table) is want.get(ones, OracleClass.NEITHER)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_small_table(self, n):
+        for entries in itertools.product((0, 1), repeat=1 << n):
+            reference = list(entries)
+            self.check(TruthTable(entries), reference)
+            self.check(TruthTable.from_string("".join(map(str, entries))), reference)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_generated_tables(self, n):
+        for value in (0, 1):
+            self.check(TruthTable.constant(n, value), [value] * (1 << n))
+        for seed in (0, 5):
+            entries = np.random.default_rng(seed).integers(0, 2, size=1 << n, dtype=np.uint8)
+            self.check(random_table(n, seed), entries.tolist())
+            self.check(TruthTable(entries), entries.tolist())
+            self.check(TruthTable(entries.astype(bool)), entries.tolist())
+            half_ones = np.repeat(np.array([1, 0], dtype=np.uint8), 1 << (n - 1))
+            shuffled = np.random.default_rng(seed).permutation(half_ones)
+            self.check(random_balanced(n, seed), shuffled.tolist())
+
+    def test_held_tables_keep_their_bytes(self):
+        packed = np.array([0b0110], dtype=np.uint8)
+        table = TruthTable.held(packed, 2)
+        assert table.packed is packed
+        self.check(table, [0, 1, 1, 0])
+
+
+class TestTableMemory:
+    """A table is held packed: 2^n / 8 bytes, and no array of one byte per input is kept."""
+
+    N = 20
+
+    def test_a_constant_table_allocates_no_byte_per_input_array(self):
+        tracemalloc.start()
+        try:
+            table = TruthTable.constant(self.N, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.ones == 1 << self.N
+        assert peak < (1 << self.N) // 8 + (4 << 10)  # 4 KiB for object headers
+
+    def test_a_balanced_table_keeps_no_byte_per_input_array(self):
+        # The seeded shuffle runs over one byte per input; only its packed bits are kept.
+        random_balanced(1, 3)  # numpy imports what its first generator needs
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = random_balanced(self.N, 3)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert table.ones == 1 << (self.N - 1)
+        assert kept < (1 << self.N) // 8 + (4 << 10)
 
 
 class TestClassify:
@@ -184,6 +261,31 @@ class TestReversibleOracle:
         detection_bit = 1 << system.bit_position(system.detection)
         for index in range(system.dim):
             assert mapping[index] & detection_bit == index & detection_bit
+
+
+class TestSpread:
+    def test_the_morton_spread_doubles_every_bit_of_every_byte(self):
+        every_byte = np.arange(256, dtype=np.uint8)
+        doubled = [sum(3 << 2 * i for i in range(8) if byte >> i & 1) for byte in range(256)]
+        want = np.array(doubled, dtype="<u2").view(np.uint8)
+        assert np.array_equal(_spread_twice(every_byte), want)  # numpy, in 16-bit words
+        for byte in range(256):  # one byte, as one Python int
+            spread = _spread_twice(every_byte[byte : byte + 1])
+            assert np.array_equal(spread, want[2 * byte : 2 * byte + 2])
+        # Both branches meet at 32 bytes, and the numpy one runs 256 KiB at a time.
+        bits = np.random.default_rng(79).integers(0, 256, size=(1 << 18) + 64, dtype=np.uint8)
+        doubled = np.packbits(np.unpackbits(bits, bitorder="little").repeat(2), bitorder="little")
+        for size in (32, 64, bits.size):
+            assert np.array_equal(_spread_twice(bits[:size]), doubled[: 2 * size])
+
+    def test_oracle_masks_are_the_table_bytes_or_their_spread(self):
+        for n in range(1, 9):
+            table = random_table(n, n)
+            ancilla = reversible_oracle(SpinSystem(n), table)
+            assert np.shares_memory(ancilla.mask, table.packed)
+            separate = reversible_oracle(SpinSystem(n, has_detection_spin=True), table)
+            assert separate.mask.size == (1 if n == 1 else 1 << (n - 2))
+            assert not np.shares_memory(separate.mask, table.packed)
 
 
 class TestOracleChannel:
