@@ -1,13 +1,11 @@
 """State and operator algebra for registers of spin-1/2 nuclei.
 
 Three state types cover the protocol's needs over the ``2**N`` Zeeman
-product basis: a dense complex density matrix, a real population vector
-for states diagonal in that basis (the common case, since the gradient
-crusher removes all coherences), and the amplitude vector of a pure state.
-The protocol's ensemble, whose present configurations share one population,
-is a diagonal state stored as an occupancy packed one bit per configuration.
-Operators and amplitude vectors stay float64 while their entries are real
-and become complex128 only when they are not.
+product basis: a dense complex density matrix, an occupancy for the
+protocol's ensemble (each configuration present or absent, the present ones
+equally populated), packed one bit per configuration, and the amplitude
+vector of a pure state. Operators and amplitude vectors stay float64
+while their entries are real and become complex128 only when they are not.
 
 Basis ordering is fixed once and for all: the ancilla spin I0 is the most
 significant bit, the input spins I1..In follow in order, and a separate
@@ -36,7 +34,6 @@ _INDEXABLE_SPINS = {
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
-POPULATION_TOL = 1e-12
 # Bytes per chunk of the in-place occupancy kernel: at most 512 KiB whatever N is.
 _CHUNK_BYTES = 1 << 19
 # An occupancy of up to 1,024 configurations moves, and is counted, as one Python int.
@@ -270,76 +267,59 @@ class DensityOperator:
 
 
 class DiagonalState:
-    """Population vector over the Zeeman basis (fast-path backend).
+    """Occupancy over the Zeeman basis (fast-path backend): each configuration present or not.
 
-    Represents exactly the density operator whose diagonal equals
-    ``populations`` and whose off-diagonal part vanishes. ``weights`` holds
-    those float populations or, for an ensemble whose present configurations
-    share one population (the uniform mixture over its set entries), its
-    occupancy packed one bit per configuration: bit i, in little bit order,
-    is configuration i. A bool vector given here is packed.
+    Represents exactly the uniform mixture over the present configurations,
+    the density operator whose diagonal equals ``populations`` and whose
+    off-diagonal part vanishes. ``weights`` holds the occupancy packed one
+    bit per configuration: bit i, in little bit order, is configuration i.
     """
 
     __slots__ = ("weights", "dim")
 
-    def __init__(self, weights, *, check: bool = True):
-        weights = np.asarray(weights)
-        if weights.dtype != np.bool_:
-            weights = weights.astype(float, copy=False)
-        if weights.ndim != 1:
-            raise ValueError("populations must be a vector")
-        if check and weights.dtype == np.bool_ and not weights.any():
+    def __init__(self, occupancy):
+        occupancy = np.asarray(occupancy)
+        if occupancy.dtype != np.bool_ or occupancy.ndim != 1:
+            raise ValueError(f"an occupancy is a vector of bools, not {occupancy.ndim}-d {occupancy.dtype}")
+        if not occupancy.any():
             raise ValueError("occupancy has no configuration set")
-        if check and weights.dtype != np.bool_:
-            bad = np.flatnonzero(~np.isfinite(weights))
-            if bad.size:
-                raise ValueError(f"population {bad[0]} is {weights[bad[0]]}, not finite")
-            if not np.min(weights) >= -POPULATION_TOL:
-                raise ValueError("negative population beyond tolerance")
-            if not abs(weights.sum() - 1.0) <= POPULATION_TOL:
-                raise ValueError("populations do not sum to 1 within tolerance")
-        self.dim = weights.shape[0]
-        self.weights = np.packbits(weights, bitorder="little") if weights.dtype == np.bool_ else weights
+        self.dim = occupancy.shape[0]
+        self.weights = np.packbits(occupancy, bitorder="little")
 
     @classmethod
-    def held(cls, weights: np.ndarray, dim: int) -> "DiagonalState":
-        """A state holding ``weights`` as given, unchecked: float populations or the packed
-        bits of an occupancy, over ``dim`` configurations."""
+    def held(cls, bits: np.ndarray, dim: int) -> "DiagonalState":
+        """A state holding the packed ``bits`` of an occupancy of ``dim`` configurations, unchecked."""
         state = cls.__new__(cls)
-        state.weights, state.dim = weights, dim
+        state.weights, state.dim = bits, dim
         return state
 
     @property
     def populations(self) -> np.ndarray:
-        """The float weights themselves; for an occupancy, a new float64 array (8 B per entry)."""
-        if self.weights.dtype != np.uint8:
-            return self.weights
+        """The float populations, a new float64 array (8 B per configuration)."""
         return np.unpackbits(self.weights, count=self.dim, bitorder="little") / _count(self.weights)
 
     @property
     def trace(self) -> float:
-        return 1.0 if self.weights.dtype == np.uint8 else float(self.weights.sum())
+        return 1.0
 
     def longitudinal(self, spin: int) -> float:
-        """Tr(rho * 2Iz) of one spin; an occupancy is counted, exact for a power-of-two count."""
+        """Tr(rho * 2Iz) of one spin, counted, exact for a power-of-two count."""
         if self.dim & (self.dim - 1):
             raise ValueError(f"a register of spins has 2^N configurations, not {self.dim}")
         n_spins = self.dim.bit_length() - 1
         if not 0 <= spin < n_spins:
             raise ValueError(f"spin index {spin} out of range for {n_spins} spins")
-        packed, run = self.weights.dtype == np.uint8, 1 << (n_spins - 1 - spin)
-        if packed and self.weights.size <= _INT_BYTES:  # Python ints; beta: run ones above run zeros
+        run = 1 << (n_spins - 1 - spin)
+        if self.weights.size <= _INT_BYTES:  # Python ints; beta: run ones above run zeros
             bits, period = int.from_bytes(self.weights.tobytes(), "little"), (1 << 2 * run) - 1
             beta = (bits & ((1 << self.dim) - 1) // period * ((1 << run) - 1) << run).bit_count()
             alpha = bits.bit_count() - beta
-        elif packed and run < 8:  # the spin is inside each byte: its alpha bits, counted by chunk
+        elif run < 8:  # the spin is inside each byte: its alpha bits, counted by chunk
             chunks = np.split(self.weights, range(_CHUNK_BYTES, self.weights.size, _CHUNK_BYTES))
             alpha = sum(_count(chunk & _ALPHA_BYTES[run.bit_length() - 1]) for chunk in chunks)
             beta = _count(self.weights) - alpha
         else:
             halves = self.weights.reshape(1 << spin, 2, -1)
-            if not packed:
-                return float(halves[:, 0].sum() - halves[:, 1].sum())
             alpha, beta = _count(halves[:, 0]), _count(halves[:, 1])
         return (alpha - beta) / (alpha + beta)
 
@@ -432,14 +412,10 @@ def expectation(state: DensityOperator | DiagonalState, observable: np.ndarray) 
 
 
 def _masked_swap(values: np.ndarray, transform: BasisPermutation) -> np.ndarray:
-    """An XOR map on a vector over the basis, a masked swap along the target axis: floats
-    map into a new vector, and packed occupancy bits (writable, C-contiguous) move in place."""
+    """An XOR map on an occupancy's packed bits (writable, C-contiguous), moved in place: a
+    masked swap along the target axis."""
     mask, target, n_spins = transform.mask, transform.target, transform.n_spins
     pick = (slice(None),) * target
-    if values.dtype != np.uint8:
-        # The target axis reversed, as a view; slicing skips np.flip's per-call axis checks.
-        spins = values.reshape((2,) * n_spins)
-        return np.where(transform.control, spins[pick + (slice(None, None, -1),)], spins).reshape(-1)
     # Bits a and b paired by the target, mask m on the target-alpha ones: d = ((b >> s) ^ a) & m,
     # a ^= d, b ^= d << s. A small register is one Python int a = b, s = 2^bit. A larger one moves
     # chunk by chunk, slicing the mask's bytes: a and b are the byte halves (s = 0) where the
@@ -476,8 +452,8 @@ def conjugate(state, transform, *, in_place: bool = False):
 
     ``transform`` is a :class:`BasisPermutation` or, on dense states and
     state vectors only, a unitary :class:`Operator`. A state vector maps
-    as ``psi -> U psi``; an XOR map moves its amplitudes exactly as it
-    moves a diagonal state's populations. The input state is never
+    as ``psi -> U psi``; an XOR map gathers its amplitudes by its index
+    form, as it does a dense state's rows. The input state is never
     modified, unless ``in_place`` hands over a dense state's matrix or an
     occupancy: an XOR map then moves it in place, and the result holds it.
     A read-only array or a strided occupancy is copied instead, as it is
@@ -491,11 +467,11 @@ def conjugate(state, transform, *, in_place: bool = False):
     if isinstance(transform, BasisPermutation):
         if isinstance(state, DiagonalState):
             weights, flags = state.weights, state.weights.flags
-            if weights.dtype == np.uint8 and not (in_place and flags.writeable and flags.c_contiguous):
+            if not (in_place and flags.writeable and flags.c_contiguous):
                 weights = weights.copy()
             return DiagonalState.held(_masked_swap(weights, transform), state.dim)
-        if isinstance(state, StateVector):
-            return StateVector(_masked_swap(state.amplitudes, transform))
+        if isinstance(state, StateVector):  # (U psi)[i] = psi[m(i)], m an involution
+            return StateVector(state.amplitudes[transform.mapping])
         # (U rho U^†)[a, b] = rho[m(a), m(b)] for the map m, an involution: it swaps
         # rows r and m(r) or fixes r. Each pair passes through one row buffer.
         # A permutation never clips; mode="clip" spares take its buffered copy.

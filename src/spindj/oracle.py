@@ -160,9 +160,6 @@ def reversible_oracle(system: SpinSystem, table: TruthTable) -> BasisPermutation
 def _spread_twice(packed: np.ndarray) -> np.ndarray:
     """Each bit i of ``packed`` as bits 2i and 2i + 1: a Morton spread of each byte into a
     little-endian 16-bit word (Warren, Hacker's Delight, 2nd ed., 7-2)."""
-    if packed.size <= 32:  # one Python int, whose binary digits read in base 4 put bit i at 2i
-        spread = int(format(int.from_bytes(packed.tobytes(), "little"), "b"), 4) * 3
-        return np.frombuffer(spread.to_bytes(2 * packed.size, "little"), np.uint8)
     words = packed.astype("<u2")
     for chunk in np.split(words, range(1 << 17, words.size, 1 << 17)):  # 256 KiB, in cache
         for shift, keep in ((4, 0x0F0F), (2, 0x3333), (1, 0x5555)):

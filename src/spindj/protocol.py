@@ -142,9 +142,12 @@ def run_liouville_dj(
     ensure_capacity(system.n_spins, backend, max_spins)
     oracle = reversible_oracle(system, table)
 
-    state = prepare_liouville_input(system)
-    if backend == "dense":
-        state = to_dense(state)
+    if backend == "dense":  # the input by the bit rule, apart from the packed one it checks
+        index = np.arange(system.dim)
+        beta = index >> system.bit_position(system.ancilla) | index >> system.bit_position(system.detection)
+        state = to_dense(DiagonalState(beta & 1 == 0))
+    else:
+        state = prepare_liouville_input(system)
 
     # The run owns the state it prepared, so both maps move its occupancy or matrix in place.
     state = oracle_channel(state, oracle, in_place=True)

@@ -2,12 +2,12 @@
 gradient crusher, FANOUT, inversion and the von Neumann entropy.
 
 Pulses are "hard" in the usual sense: instantaneous single-spin rotations
-with no off-resonance or coupling evolution. The crusher is modeled as
-projection onto the Zeeman diagonal, which is exact in this protocol
-because it only ever acts right after a single 90-degree pulse on a
-diagonal state. FANOUT and inversion are realized as exact basis
-permutations (global phases discarded); only populations carry
-information here, so nothing is lost.
+with no off-resonance or coupling evolution. The model is dense: states are
+density matrices. The crusher is modeled as projection onto the Zeeman
+diagonal, which is exact in this protocol because it only ever acts right
+after a single 90-degree pulse on a diagonal state. FANOUT and inversion
+are realized as exact basis permutations (global phases discarded); only
+populations carry information here, so nothing is lost.
 """
 
 from __future__ import annotations
@@ -60,23 +60,23 @@ def rotation_unitary(
     return Operator(embed(system, {spin: block for spin in targets}))
 
 
-def crusher(state: DensityOperator) -> DiagonalState:
+def crusher(state: DensityOperator) -> DensityOperator:
     """Field-gradient crusher: zero all coherences, keep the populations.
 
     Diagonal entries are carried over unchanged, so the trace is
     preserved exactly.
     """
-    return DiagonalState(state.populations.copy(), check=False)
+    return DensityOperator(np.diag(state.populations), check=False)
 
 
-def prepare_liouville_input_pulsed(system: SpinSystem) -> DiagonalState:
+def prepare_liouville_input_pulsed(system: SpinSystem) -> DensityOperator:
     """The Liouville input built the way the experiment does it.
 
     Starting from the idealized (fully polarized) equilibrium, a hard
     90-degree pulse hits all input spins but not I0, then the crusher
     removes the coherences. Agrees with the closed form
-    :func:`spindj.protocol.prepare_liouville_input` to float precision;
-    kept apart from it because it needs a dense intermediate.
+    :func:`spindj.protocol.prepare_liouville_input`, as a density matrix,
+    to float precision.
     """
     equilibrium = zeeman_product_state(system, "0" * system.n_spins)
     pulse = rotation_unitary(system, "x", np.pi / 2.0, system.inputs)
@@ -87,16 +87,14 @@ def fanout_unitary(system: SpinSystem, control: int, target: int) -> BasisPermut
     """Reversible copy: XOR the control spin's bit onto the target spin.
 
     With the target prepared in alpha this copies the control's classical
-    value (a controlled-NOT on basis states). Its mask is written packed.
+    value (a controlled-NOT on basis states).
     """
-    bit, shape = system.bit_position(control), [1] * max(0, system.n_spins - 3)
+    system.check_spin(control)
     if target == control or not 0 <= target < system.n_spins:
         raise ValueError(f"FANOUT needs two distinct spins of the register, got {control} and {target}")
-    if bit < 3:  # the bits of each byte where the control is beta
-        mask = (0xAA, 0xCC, 0xF0)[bit] & (1 << min(system.dim, 8)) - 1
-    else:  # no byte where the control is alpha, all where it is beta
-        shape[control], mask = 2, [0, 0xFF]
-    return BasisPermutation.held(target, np.array(mask, np.uint8).reshape(shape), system.n_spins)
+    shape = [1] * system.n_spins
+    shape[control] = 2  # set where the control is beta
+    return BasisPermutation(target, np.array([False, True]).reshape(shape))
 
 
 def inversion_unitary(system: SpinSystem, target: int) -> BasisPermutation:

@@ -14,14 +14,12 @@ import spindj.protocol as protocol
 from spindj.cli import cmd_sweep, parse_args
 from spindj.core import (
     DensityOperator,
-    DiagonalState,
     Operator,
     SpinSystem,
     conjugate,
     is_unitary_matrix,
     pauli_z,
     polarization_operator,
-    to_dense,
 )
 from spindj.oracle import (
     TruthTable,
@@ -257,8 +255,8 @@ def test_criterion_7_structural_invariants():
     for _ in range(50):
         p1 = rng.random(system.dim)
         p2 = rng.random(system.dim)
-        rho1 = to_dense(DiagonalState(p1 / p1.sum()))
-        rho2 = to_dense(DiagonalState(p2 / p2.sum()))
+        rho1 = DensityOperator(np.diag(p1 / p1.sum()))
+        rho2 = DensityOperator(np.diag(p2 / p2.sum()))
         c1, c2 = rng.normal(size=2)
         mixture = DensityOperator(c1 * rho1.matrix + c2 * rho2.matrix, check=False)
         combined = oracle_channel(mixture, oracle).matrix

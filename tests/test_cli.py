@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spindj.core
+import spindj.protocol
 from spindj import cli
 
 
@@ -122,6 +123,25 @@ class TestRunCommand:
         monkeypatch.setattr(spindj.core, "_masked_swap", inverted)
         code, out, _ = run_cli(
             capsys, "run", "--n", "3", "--oracle", "constant0", "--backend", "both"
+        )
+        assert code == 0
+        assert json.loads(out)["cross_check"] == 2.0
+
+    @pytest.mark.parametrize("detection", ["ancilla", "separate"])
+    def test_cross_check_sees_a_fault_in_the_prepared_input(self, capsys, monkeypatch, detection):
+        # The dense input is built by the bit rule, not from the packed one, so an input
+        # with I0 pinned to beta instead of alpha shows as a gap of 2 on a constant.
+        prepare = spindj.protocol.prepare_liouville_input
+
+        def pinned_to_beta(system):
+            bits = prepare(system).weights
+            occupancy = np.unpackbits(bits, count=system.dim, bitorder="little").astype(bool)
+            return spindj.core.DiagonalState(np.roll(occupancy, system.dim // 2))
+
+        monkeypatch.setattr(spindj.protocol, "prepare_liouville_input", pinned_to_beta)
+        code, out, _ = run_cli(
+            capsys, "run", "--n", "3", "--oracle", "constant0", "--backend", "both",
+            "--detection", detection,
         )
         assert code == 0
         assert json.loads(out)["cross_check"] == 2.0
@@ -915,7 +935,8 @@ FLAG_VALUES = {
     "--tolerance": _values(st.sampled_from(["1e-6", "0.1"]), BAD_NUMBERS),
     "--detection": st.sampled_from(["ancilla", "separate", "both"]),
     "--format": st.sampled_from(["json", "csv", "xml"]),
-    "--max-spins": _values(st.integers(1, 9).map(str), BAD_NUMBERS),
+    # Not BAD_NUMBERS: 2^64 is a valid limit, raised, which warns.
+    "--max-spins": _values(st.integers(1, 9).map(str), REFUSED["--max-spins"]),
     # Not BAD_NUMBERS: 0 trials is valid.
     "--trials": _values(st.integers(0, 3).map(str), REFUSED["--trials"]),
 }

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spindj.core import (
-    DensityOperator,
-    DiagonalState,
-    SpinSystem,
-    to_dense,
-)
+from spindj.core import DensityOperator, SpinSystem
 from spindj.oracle import (
     OracleClass,
     TruthTable,
@@ -268,11 +263,11 @@ class TestSpread:
         every_byte = np.arange(256, dtype=np.uint8)
         doubled = [sum(3 << 2 * i for i in range(8) if byte >> i & 1) for byte in range(256)]
         want = np.array(doubled, dtype="<u2").view(np.uint8)
-        assert np.array_equal(_spread_twice(every_byte), want)  # numpy, in 16-bit words
-        for byte in range(256):  # one byte, as one Python int
+        assert np.array_equal(_spread_twice(every_byte), want)  # in 16-bit words
+        for byte in range(256):  # one byte at a time
             spread = _spread_twice(every_byte[byte : byte + 1])
             assert np.array_equal(spread, want[2 * byte : 2 * byte + 2])
-        # Both branches meet at 32 bytes, and the numpy one runs 256 KiB at a time.
+        # Short tables, and the chunks of 256 KiB the spread runs over.
         bits = np.random.default_rng(79).integers(0, 256, size=(1 << 18) + 64, dtype=np.uint8)
         doubled = np.packbits(np.unpackbits(bits, bitorder="little").repeat(2), bitorder="little")
         for size in (32, 64, bits.size):
@@ -312,8 +307,8 @@ class TestOracleChannel:
         for _ in range(50):
             p1 = rng.random(system.dim)
             p2 = rng.random(system.dim)
-            rho1 = to_dense(DiagonalState(p1 / p1.sum()))
-            rho2 = to_dense(DiagonalState(p2 / p2.sum()))
+            rho1 = DensityOperator(np.diag(p1 / p1.sum()))
+            rho2 = DensityOperator(np.diag(p2 / p2.sum()))
             c1, c2 = 0.3, 0.7
             mixture = DensityOperator(c1 * rho1.matrix + c2 * rho2.matrix, check=False)
             combined = oracle_channel(mixture, oracle).matrix
@@ -326,7 +321,7 @@ class TestOracleChannel:
         oracle = reversible_oracle(system, TruthTable.from_string("0110"))
         rng = np.random.default_rng(67)
         populations = rng.random(system.dim)
-        rho = to_dense(DiagonalState(populations / populations.sum()))
+        rho = DensityOperator(np.diag(populations / populations.sum()))
         before = rho.matrix.copy()
         copied = oracle_channel(rho, oracle)
         assert np.array_equal(rho.matrix, before)

@@ -40,10 +40,6 @@ UNREACHED = {
     "a run reads the packed bytes",
     "core.DensityOperator.trace": "a state's trace, read by __repr__ and the tests",
     "core.DiagonalState.trace": "a state's trace, read by __repr__ and the tests",
-    "core.DiagonalState.__init__": "a state from given float populations or a bool occupancy, "
-    "which it packs (the crusher, the tests); a run writes its occupancy packed, through held",
-    "core.BasisPermutation.__init__": "an XOR map from a boolean mask, which it checks and packs "
-    "(inversion_unitary, the tests); the oracle and FANOUT write their masks packed, through held",
     "core.BasisPermutation.to_operator": "the dense matrix the tests check the gather against",
     "core.SpinSystem.basis_index": "names a basis state by its 0/1 configuration",
     "core.is_unitary_matrix": "the check an Operator built without check=False runs (rotation_unitary, the tests)",
