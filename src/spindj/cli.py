@@ -184,6 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # one per process: each parse starts from a new Namespace
+
+
 def _resolve_table(args: argparse.Namespace) -> TruthTable:
     """Build or load the table; :func:`_ensure_fits` runs before a
     generated table is allocated, and a file's --n and capacity are
@@ -393,7 +396,7 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """The flags every command reads; a sweep's ``A..B`` becomes ``n`` and ``n_max``."""
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "sweep":
         args.n, args.n_max = args.n
     return args

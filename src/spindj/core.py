@@ -38,6 +38,7 @@ UNITARY_TOL = 1e-12
 _CHUNK_BYTES = 1 << 19
 # An occupancy of up to 1,024 configurations moves, and is counted, as one Python int.
 _INT_BYTES = 128
+_SUM_BYTES = 1 << 28  # bytes one uint32 sum counts: 2^31 bits, so no sum overflows
 # Within a byte, the bits of the configurations whose index has bit 0, 1 or 2 clear.
 _ALPHA_BYTES = (0x55, 0x33, 0x0F)
 
@@ -328,8 +329,12 @@ class DiagonalState:
 
 
 def _count(bits: np.ndarray) -> int:
-    """Set bits of a uint8 array, counted in 8-byte lanes where its last axis allows."""
-    return int(np.bitwise_count(bits.view("<u8") if bits.shape[-1] % 8 == 0 else bits).sum())
+    """Set bits of a uint8 array, counted in 8-byte lanes where its last axis allows and summed
+    in uint32, over halves along its longest axis until each holds at most 2^31 bits."""
+    if bits.size > _SUM_BYTES:
+        return sum(_count(half) for half in np.array_split(bits, 2, int(np.argmax(bits.shape))))
+    lanes = bits.view("<u8") if bits.shape[-1] % 8 == 0 else bits
+    return int(np.bitwise_count(lanes).sum(dtype=np.uint32))
 
 
 class StateVector:
@@ -419,7 +424,8 @@ def _masked_swap(values: np.ndarray, transform: BasisPermutation) -> np.ndarray:
     # Bits a and b paired by the target, mask m on the target-alpha ones: d = ((b >> s) ^ a) & m,
     # a ^= d, b ^= d << s. A small register is one Python int a = b, s = 2^bit. A larger one moves
     # chunk by chunk, slicing the mask's bytes: a and b are the byte halves (s = 0) where the
-    # target indexes bytes, else a = b, s = 2^bit: a delta swap (Knuth, TAOCP 4A, 7.1.3).
+    # target indexes bytes, else a = b, s = 2^bit: a delta swap (Knuth, TAOCP 4A, 7.1.3), in
+    # 8-byte lanes where a chunk holds one, since m clears each bit a shift carries out of a byte.
     bit = n_spins - 1 - target
     if values.size <= _INT_BYTES:
         x, run, alpha = int.from_bytes(values.tobytes(), "little"), 1 << bit, -1
@@ -431,12 +437,18 @@ def _masked_swap(values: np.ndarray, transform: BasisPermutation) -> np.ndarray:
         memoryview(values)[:] = (x ^ d ^ (d << run)).to_bytes(values.size, "little")
         return values
     first = second = words = values.reshape((2,) * (n_spins - 3))
-    shift, mask = (1 << bit, mask & _ALPHA_BYTES[bit]) if bit < 3 else (0, mask[pick + (0, ...)])
-    if not shift:  # the target indexes bytes
+    if bit >= 3:  # the target indexes bytes
+        shift, mask = 0, mask[pick + (0, ...)]
         first, second = words[pick + (0, ...)], words[pick + (1, ...)]
-    loops = max(0, first.ndim - (_CHUNK_BYTES.bit_length() - 1))  # leading byte axes looped over
+    else:  # the delta swap, its mask filled out over each lane's eight bytes
+        shift, lane = 1 << bit, (2, 2, 2) if min(values.size, _CHUNK_BYTES) >= 8 else ()
+        mask = np.broadcast_to(mask, mask.shape[: mask.ndim - len(lane)] + lane) & _ALPHA_BYTES[bit]
+        if lane:
+            first = second = words = values.view("<u8").reshape(words.shape[:-3])
+            mask = mask.reshape(mask.shape[:-3] + (8,)).view("<u8")[..., 0]
+    loops = max(0, first.ndim - (_CHUNK_BYTES // words.itemsize).bit_length() + 1)  # axes looped over
     mask = np.broadcast_to(mask, (2,) * loops + mask.shape[loops:])
-    moved = np.empty(first.shape[loops:], np.uint8)
+    moved = np.empty(first.shape[loops:], words.dtype)
     for at in (index + (...,) for index in np.ndindex((2,) * loops)):  # views, even of one byte
         a, b, m = first[at], second[at], mask[at]
         if m.max():  # an all-zero mask moves nothing

@@ -501,6 +501,37 @@ class TestDeterminism:
         b = json.dumps(strip_wall_times(json.loads(second)), sort_keys=True)
         assert a == b
 
+    def test_the_parser_keeps_no_state_between_calls(self, capsys):
+        # Each command with every optional flag, then with none, on the one parser a process
+        # builds; a usage error in the middle, raised after some flags were read. Each
+        # namespace equals the one a newly built parser returns.
+        common = ["--detection", "separate", "--format", "csv", "--out", "r.csv", "--max-spins", "9"]
+        run_all = ["run", "--n", "3", "--oracle", "random", "--seed", "4", "--backend", "both",
+                   "--tolerance", "1e-3", "--epsilon", "0.5", *common]
+        sweep_all = ["sweep", "--n", "2..4", "--seed", "7", "--trials", "3",
+                     "--thermal-p", "1e-3", *common]
+        conflict = ["run", "--n", "3", "--oracle", "constant1", "--epsilon", "0.5", "--thermal-p", "0.1"]
+        sequence = [
+            run_all,
+            ["run", "--oracle", "constant0"],
+            sweep_all,
+            ["sweep", "--n", "5", "--seed", "1"],
+            conflict,
+            ["oracle", "--oracle", "balanced-random", "--n", "2", "--seed", "5"],
+            ["oracle", "--oracle", "constant0"],
+            run_all,
+            ["run", "--oracle", "constant0"],
+            ["sweep", "--n", "5", "--seed", "1"],
+        ]
+        for argv in sequence:
+            if argv is conflict:
+                assert run_cli(capsys, *argv)[0] == cli.EXIT_USAGE
+                continue
+            shared = cli.parse_args(argv)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "_PARSER", cli.build_parser())
+                assert vars(shared) == vars(cli.parse_args(argv)), argv
+
 
 class TestCsvOutput:
     def test_run_csv_matches_json_records(self, capsys):

@@ -88,6 +88,7 @@ KERNELS = {
     "python int": {},
     "numpy, one chunk": {"_INT_BYTES": 0},
     "numpy, one byte per chunk": {"_INT_BYTES": 0, "_CHUNK_BYTES": 1},
+    "numpy, one lane per chunk": {"_INT_BYTES": 0, "_CHUNK_BYTES": 8},
 }
 
 
@@ -712,6 +713,23 @@ class TestXorPermutation:
                 moved = spindj.core._masked_swap(pack(occupancy), xor)
                 assert np.array_equal(unpack(moved, system.dim), occupancy[xor.mapping]), (n, table)
 
+    # Eight to eleven spins, a target among the last three, where the delta swap shifts in
+    # 8-byte lanes: FANOUT's broadcast mask and a full mask, by each kernel, move an
+    # occupancy as the gather by the bit rule does.
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_a_delta_swap_in_lanes_moves_an_occupancy_as_the_gather(self, kernel, monkeypatch):
+        use_kernel(monkeypatch, kernel)
+        rng = np.random.default_rng(81)
+        for n_spins in range(8, 12):
+            system = SpinSystem(n_spins - 2, has_detection_spin=True)
+            for target in range(n_spins - 3, n_spins):
+                shape = (2,) * target + (1,) + (2,) * (n_spins - 1 - target)
+                full = BasisPermutation(target, rng.random(shape) < 0.5)
+                for xor in (fanout_unitary(system, 0, target), full):
+                    occupancy = rng.random(xor.dim) < 0.5
+                    moved = spindj.core._masked_swap(pack(occupancy), xor)
+                    assert np.array_equal(unpack(moved, xor.dim), occupancy[xor.mapping]), xor
+
     # Chunks of four bytes on 11 to 13 spins: every chunk of a constant-0 oracle, and FANOUT's
     # chunks on the I0-alpha half, have an all-zero mask and are skipped. A constant-0 oracle
     # writes nothing, which a read-only occupancy shows.
@@ -1028,6 +1046,21 @@ class TestStateValidation:
     def test_matrices_must_be_square_and_populations_a_vector(self, kind, value, message):
         with pytest.raises(ValueError, match=message):
             kind(value)
+
+
+class TestCount:
+    # Lengths that are and are not whole 8-byte lanes, and a 2-d half of an occupancy as the
+    # readout counts it, summed whole or split at a bound of a few bytes, as past 2^28 bytes.
+    @pytest.mark.parametrize("sum_bytes", [None, 1, 5, 8])
+    def test_counts_the_set_bits_of_each_byte(self, sum_bytes, monkeypatch):
+        if sum_bytes:
+            monkeypatch.setattr(spindj.core, "_SUM_BYTES", sum_bytes)
+        rng = np.random.default_rng(83)
+        arrays = [rng.integers(0, 256, size, dtype=np.uint8) for size in (1, 7, 8, 9, 16, 37, 64)]
+        arrays.append(np.full(24, 0xFF, np.uint8))
+        halves = rng.integers(0, 256, (4, 2, 16), dtype=np.uint8)
+        for bits in arrays + [halves[:, 0], halves[:, 1]]:
+            assert spindj.core._count(bits) == sum(int(b).bit_count() for b in bits.flat)
 
 
 def test_every_public_name_resolves():
