@@ -485,18 +485,25 @@ def conjugate(state, transform, *, in_place: bool = False):
         if isinstance(state, StateVector):  # (U psi)[i] = psi[m(i)], m an involution
             return StateVector(state.amplitudes[transform.mapping])
         # (U rho U^†)[a, b] = rho[m(a), m(b)] for the map m, an involution: it swaps
-        # rows r and m(r) or fixes r. Each pair passes through one row buffer.
-        # A permutation never clips; mode="clip" spares take its buffered copy.
+        # rows r and m(r) or fixes r. Each pair passes through one row buffer. A
+        # fixed row changes only between the first and the last moved column, so
+        # it gathers that span alone; the identity moves nothing. A permutation
+        # never clips; mode="clip" spares take its buffered copy.
         matrix = state.matrix if in_place and state.matrix.flags.writeable else state.matrix.copy()
         mapping = transform.mapping
-        row_buffer = np.empty(matrix.shape[1], dtype=matrix.dtype)
+        moved = np.flatnonzero(mapping != np.arange(mapping.size))
+        if not moved.size:
+            return DensityOperator(matrix, check=False)
+        lo, hi = int(moved[0]), int(moved[-1]) + 1
+        span, row_buffer = mapping[lo:hi] - lo, np.empty(matrix.shape[1], dtype=matrix.dtype)
         for row, source in enumerate(mapping.tolist()):
-            if source < row:
-                continue  # moved with its partner
-            matrix[source].take(mapping, out=row_buffer, mode="clip")
-            if source != row:
+            if source == row:
+                matrix[row, lo:hi].take(span, out=row_buffer[: hi - lo], mode="clip")
+                matrix[row, lo:hi] = row_buffer[: hi - lo]
+            elif source > row:  # a pair, moved once
+                matrix[source].take(mapping, out=row_buffer, mode="clip")
                 matrix[row].take(mapping, out=matrix[source], mode="clip")
-            matrix[row] = row_buffer
+                matrix[row] = row_buffer
         return DensityOperator(matrix, check=False)
 
     if isinstance(state, DiagonalState):

@@ -864,7 +864,7 @@ class TestXorPermutation:
             BasisPermutation(2, np.ones((1, 2), dtype=bool))
 
 
-class TestDenseRowSlabs:
+class TestDenseXorMap:
     """The dense XOR map moves rows through one row buffer, and to_dense writes
     the diagonal; each must equal its single-call numpy form bit for bit."""
 
@@ -877,7 +877,10 @@ class TestDenseRowSlabs:
         matrix = np.arange(dim * dim, dtype=float).reshape(dim, dim) * (1 - 0.5j)
         before = matrix.copy()
         state = DensityOperator(matrix, check=False)
+        identity = reversible_oracle(system, TruthTable.constant(system.n_inputs, 0))
         for xor in (
+            identity,
+            reversible_oracle(system, TruthTable.constant(system.n_inputs, 1)),
             reversible_oracle(system, random_balanced(system.n_inputs, 17)),
             fanout_unitary(system, 0, n_spins - 1),
             inversion_unitary(system, 2),
@@ -892,12 +895,31 @@ class TestDenseRowSlabs:
             moved = conjugate(owned, xor, in_place=True)
             assert np.array_equal(moved.matrix, matrix[np.ix_(m, m)])
             assert np.shares_memory(moved.matrix, owned.matrix)
+        # The constant0 oracle is the identity, so the loop above checked that it returns
+        # an unshared copy of the input; handed over, the input itself comes back.
+        assert np.array_equal(identity.mapping, np.arange(dim))
+        owned = DensityOperator(before.copy(), check=False)
+        assert conjugate(owned, identity, in_place=True).matrix is owned.matrix
 
         occupancy = np.random.default_rng(n_spins).random(dim) < 0.5
         dense = to_dense(DiagonalState(occupancy))
         assert dense.matrix.dtype == np.complex128
         want = occupancy / np.count_nonzero(occupancy)
         assert np.array_equal(dense.matrix, np.diag(want.astype(complex)))
+
+    # Every XOR map at N <= 5 on a matrix whose entries are all distinct, off the
+    # diagonal too, so a row or column gathered out of its span shows.
+    def test_every_map_moves_every_entry_exhaustively(self):
+        for xor in xor_maps_up_to_five_spins():
+            dim, m = xor.dim, xor.mapping
+            matrix = np.arange(dim * dim, dtype=float).reshape(dim, dim) * (1 - 0.5j)
+            want = matrix[np.ix_(m, m)]
+            out = conjugate(DensityOperator(matrix, check=False), xor)
+            assert np.array_equal(out.matrix, want)
+            assert not np.shares_memory(out.matrix, matrix)
+            moved = conjugate(DensityOperator(matrix, check=False), xor, in_place=True)
+            assert np.array_equal(moved.matrix, want)
+            assert moved.matrix is matrix
 
     # A handed-over matrix is moved wherever its rows lie: rows of a Fortran-ordered
     # matrix and of a strided view are not contiguous, so the row buffer's writes
