@@ -124,7 +124,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--max-spins",
         type=_AT_LEAST_1,
-        help="replace the backend capacity limit, lower or higher (higher may exhaust memory)",
+        help="lower the capacity limit of the backend the command counts against",
     )
 
 
@@ -222,7 +222,7 @@ def _ensure_fits(args: argparse.Namespace, n: int) -> None:
     The pseudo-pure baseline runs dense, and the dense limit is the lower
     one; the error names what asked for it. With the defaults, as for
     ``spindj oracle``, the inputs and the ancilla meet the diagonal limit.
-    A --max-spins above that backend's default limit is warned about on stderr.
+    A --max-spins can only lower that backend's limit; a higher one is a usage error.
     """
     n_spins = _system(args, n).n_spins
     causes = [f"--backend {args.backend}"] if args.backend in ("dense", "both") else []
@@ -232,9 +232,9 @@ def _ensure_fits(args: argparse.Namespace, n: int) -> None:
                       else f"the pseudo-pure baseline that {flag} asks for")
     backend = "dense" if causes else "diagonal"
     if args.max_spins is not None and args.max_spins > SPIN_LIMITS[backend]:
-        print(
-            f"warning: capacity limit raised to {args.max_spins} spins; may exhaust memory",
-            file=sys.stderr,
+        raise UsageError(
+            f"argument --max-spins: must be at most the {backend} backend's limit of "
+            f"{SPIN_LIMITS[backend]}, got '{args.max_spins}'"
         )
     try:
         ensure_capacity(n_spins, backend, args.max_spins)
@@ -288,15 +288,14 @@ def cmd_run(args: argparse.Namespace) -> dict:
     system = _system(args, table.n)
     oracle_class = classify(table)
     epsilon = _epsilon(args, system.n_spins)
-    limits = {"tolerance": args.tolerance, "max_spins": args.max_spins}
 
     backends = ("dense", "diagonal") if args.backend == "both" else (args.backend,)
     records = []
     for backend in backends:
-        outcome, wall = _timed(run_liouville_dj, system, table, backend, **limits)
+        outcome, wall = _timed(run_liouville_dj, system, table, backend, tolerance=args.tolerance)
         records.append(_record("liouville", table.n, oracle_class, outcome, wall))
     if epsilon is not None:
-        outcome, wall = _timed(run_pseudo_pure_dj, system, table, epsilon, **limits)
+        outcome, wall = _timed(run_pseudo_pure_dj, system, table, epsilon, tolerance=args.tolerance)
         records.append(_record("pseudo_pure", table.n, oracle_class, outcome, wall))
 
     report = {
@@ -323,15 +322,15 @@ def cmd_sweep(args: argparse.Namespace) -> dict:
         start = time.perf_counter()
         system = _system(args, n)
         constant = TruthTable.constant(n, 0)
-        liouville = run_liouville_dj(system, constant, max_spins=args.max_spins)
+        liouville = run_liouville_dj(system, constant)
         balanced_signals = []
         # One draw per row gives the same seeds, in order, as one draw per trial.
         for seed in rng.integers(0, 2**63, size=args.trials):
             table = random_balanced(n, int(seed))
-            outcome = run_liouville_dj(system, table, max_spins=args.max_spins)
+            outcome = run_liouville_dj(system, table)
             balanced_signals.append(abs(outcome.signal))
         epsilon = _epsilon(args, system.n_spins)
-        pseudo = run_pseudo_pure_dj(system, constant, epsilon, max_spins=args.max_spins)
+        pseudo = run_pseudo_pure_dj(system, constant, epsilon)
         worst_case = classical_dj(constant).evaluations
         wall = (time.perf_counter() - start) * 1e3
         aggregates.append(

@@ -16,7 +16,6 @@ detection spin (when present) is the least significant bit. The alpha
 from __future__ import annotations
 
 import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +24,6 @@ import numpy as np
 # N=13); the diagonal backend only stores a 2^N vector, one bit per
 # configuration for the protocol's occupancy (8 MiB at N=26).
 SPIN_LIMITS = {"dense": 13, "diagonal": 26}
-# The largest registers whose state numpy can index (up to 8 * 2^N bytes of
-# float populations, 16 * 4^N of matrix): 59 and 29 spins on a 64-bit build.
-_INDEXABLE_SPINS = {
-    "diagonal": (sys.maxsize // 8).bit_length() - 1,
-    "dense": ((sys.maxsize // 16).bit_length() - 1) // 2,
-}
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
@@ -56,10 +49,10 @@ class CapacityError(Exception):
 
 def ensure_capacity(n_spins: int, backend: str, limit: int | None = None) -> None:
     """Raise :class:`CapacityError` if ``n_spins`` exceeds the backend limit;
-    a given ``limit`` replaces the default one, up to what numpy can index."""
+    a given ``limit`` can only lower that limit, never raise it."""
     if backend not in SPIN_LIMITS:
         raise ValueError(f"unknown backend {backend!r}")
-    cap = SPIN_LIMITS[backend] if limit is None else min(limit, _INDEXABLE_SPINS[backend])
+    cap = SPIN_LIMITS[backend] if limit is None else min(limit, SPIN_LIMITS[backend])
     if n_spins > cap:
         raise CapacityError(
             f"{n_spins} spins exceed the {backend} backend capacity of {cap}"

@@ -125,7 +125,6 @@ def run_liouville_dj(
     backend: str = "diagonal",
     *,
     tolerance: float = DEFAULT_SIGNAL_TOL,
-    max_spins: int | None = None,
 ) -> Outcome:
     """Single-scan ensemble run: prepare, one oracle call, read 2*Iz.
 
@@ -139,7 +138,7 @@ def run_liouville_dj(
     """
     if not tolerance > 0:  # NaN too
         raise ValueError("tolerance must be positive")
-    ensure_capacity(system.n_spins, backend, max_spins)
+    ensure_capacity(system.n_spins, backend)
     oracle = reversible_oracle(system, table)
 
     if backend == "dense":  # the input by the bit rule, apart from the packed one it checks
@@ -175,7 +174,6 @@ def run_pseudo_pure_dj(
     epsilon: float,
     *,
     tolerance: float = DEFAULT_SIGNAL_TOL,
-    max_spins: int | None = None,
 ) -> Outcome:
     """Textbook interference circuit on a pseudo-pure state (dense only).
 
@@ -200,7 +198,7 @@ def run_pseudo_pure_dj(
         raise ValueError("epsilon must lie in (0, 1]")
     if not tolerance > 0:  # NaN too
         raise ValueError("tolerance must be positive")
-    ensure_capacity(system.n_spins, "dense", max_spins)
+    ensure_capacity(system.n_spins, "dense")
     oracle = reversible_oracle(system, table)
     state = StateVector(np.eye(1, system.dim)[0])  # |0...0>
 

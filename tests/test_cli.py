@@ -346,18 +346,22 @@ class TestRunCommand:
         assert err.startswith("capacity error: ") and err.count("\n") == 1
         assert peak < 20 << 20
 
-    def test_max_spins_override_warns(self, capsys):
-        # 30 is above the diagonal limit of 26; under --backend both, 14 is
-        # above the dense limit of 13. Each warns once.
-        for backend, cap in (("diagonal", "30"), ("both", "14")):
-            code, out, err = run_cli(
-                capsys,
-                "run", "--n", "3", "--oracle", "constant0", "--backend", backend,
-                "--max-spins", cap,
-            )
-            assert code == 0
-            assert err == f"warning: capacity limit raised to {cap} spins; may exhaust memory\n"
-            assert json.loads(out)["records"][0]["signal"] == 1.0
+    @pytest.mark.parametrize(
+        "backend, cap, limit",
+        [
+            ("diagonal", "30", "the diagonal backend's limit of 26"),
+            ("both", "14", "the dense backend's limit of 13"),
+        ],
+    )
+    def test_max_spins_above_the_limit_is_a_usage_error(self, capsys, backend, cap, limit):
+        code, out, err = run_cli(
+            capsys,
+            "run", "--n", "3", "--oracle", "constant0", "--backend", backend,
+            "--max-spins", cap,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: argument --max-spins: must be at most {limit}, got '{cap}'\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -373,6 +377,20 @@ class TestRunCommand:
         assert code == 0
         assert out
         assert err == ""
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            # 3 inputs and the ancilla: 4 spins, over a diagonal limit lowered to 3
+            (("run", "--n", "3", "--oracle", "constant0", "--max-spins", "3"),
+             "capacity error: 4 spins exceed the diagonal backend capacity of 3\n"),
+            (("sweep", "--n", "1..3", "--seed", "1", "--max-spins", "3"),
+             "capacity error: 4 spins exceed the dense backend capacity of 3 "
+             "(used by the sweep's pseudo-pure baseline)\n"),
+        ],
+    )
+    def test_max_spins_that_lowers_the_limit_refuses_a_larger_register(self, capsys, argv, err):
+        assert run_cli(capsys, *argv) == (4, "", err)
 
     def test_epsilon_and_thermal_p_conflict(self, capsys):
         code, _, _ = run_cli(
@@ -844,20 +862,19 @@ class TestCapacityBeforeWork:
             ("sweep", "--n", "1..40", "--seed", "1", "--max-spins", "50"),
         ],
     )
-    def test_raised_limit_stops_where_numpy_can_no_longer_index(self, capsys, argv):
-        # These registers' states exceed what numpy can address, so no
-        # --max-spins admits them: they are refused before any table is built.
+    def test_max_spins_above_the_limit_is_refused_before_any_table_is_built(self, capsys, argv):
+        # Each --max-spins is above the limit of the backend its command counts
+        # against, so the flag is refused before the register's 2^n table exists.
         tracemalloc.start()
         try:
             code, out, err = run_cli(capsys, *argv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 4
+        assert code == 1
         assert out == ""
-        warning, refusal = err.splitlines()
-        assert warning.startswith(MAX_SPINS_WARNING)
-        assert refusal.startswith("capacity error: ") and "Traceback" not in err
+        assert err.startswith("usage error: argument --max-spins: must be at most ")
+        assert err.count("\n") == 1
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("first", ["0", "x"])
@@ -903,7 +920,6 @@ ERROR_PREFIXES = {
     3: "truth table error: ",
     4: "capacity error: ",
 }
-MAX_SPINS_WARNING = "warning: capacity limit raised"
 # The CSV columns are the JSON row keys without wall_ms, written out here.
 RUN_CSV_HEADER = ["protocol", "n", "class", "signal", "verdict", "evaluations", "backend"]
 SWEEP_CSV_HEADER = [
@@ -940,7 +956,8 @@ BAD_PREFACTORS = BAD_NUMBERS + ["2", "5e-324", "1e-320"]
 SMALL_N = st.integers(1, 6).map(str)
 OVER_CAPACITY_N = st.sampled_from(["30", "40", str(10**400)])
 # What each flag's own rule refuses, at parse time (REFUSED) or once the
-# run works out epsilon(N) (REFUSED_LATER: below the smallest normal float).
+# command knows its register and backend (REFUSED_LATER: an epsilon(N) below
+# the smallest normal float, a --max-spins above every backend's limit).
 # A complete, valid argv with one value swapped for one of these must exit
 # 1 naming that flag.
 NOT_NUMBERS = ["-1", "-1e-6", "nan", "inf", "abc", "6..2"]
@@ -956,7 +973,11 @@ REFUSED = {
     "--trials": NOT_NUMBERS + [str(cli.MAX_TRIALS + 1)],
     "--backend": ["gpu"],
 }
-REFUSED_LATER = {"--epsilon": ["5e-324", "1e-320"], "--thermal-p": ["5e-324", "1e-320"]}
+REFUSED_LATER = {
+    "--epsilon": ["5e-324", "1e-320"],
+    "--thermal-p": ["5e-324", "1e-320"],
+    "--max-spins": ["27", str(2**64)],
+}
 # Valid --max-spins values stay at or below 9 spins, so no example that
 # passes the capacity check holds more than a 512 x 512 dense state.
 FLAG_VALUES = {
@@ -966,8 +987,9 @@ FLAG_VALUES = {
     "--tolerance": _values(st.sampled_from(["1e-6", "0.1"]), BAD_NUMBERS),
     "--detection": st.sampled_from(["ancilla", "separate", "both"]),
     "--format": st.sampled_from(["json", "csv", "xml"]),
-    # Not BAD_NUMBERS: 2^64 is a valid limit, raised, which warns.
-    "--max-spins": _values(st.integers(1, 9).map(str), REFUSED["--max-spins"]),
+    "--max-spins": _values(
+        st.integers(1, 9).map(str), REFUSED["--max-spins"] + REFUSED_LATER["--max-spins"]
+    ),
     # Not BAD_NUMBERS: 0 trials is valid.
     "--trials": _values(st.integers(0, 3).map(str), REFUSED["--trials"]),
 }
@@ -1090,8 +1112,6 @@ def test_every_argv_ends_in_a_documented_exit(table_dir):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-        # Valid --max-spins values stay below both default limits, so no
-        # example prints the warning for a raised limit.
         lines = err.getvalue().splitlines()
         assert "Traceback" not in err.getvalue()
         if expected is not None:

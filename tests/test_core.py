@@ -1,5 +1,4 @@
 import itertools
-import sys
 import tracemalloc
 
 import numpy as np
@@ -155,18 +154,12 @@ class TestSpinSystem:
             ensure_capacity(14, "dense")
         with pytest.raises(CapacityError):
             ensure_capacity(27, "diagonal")
-        ensure_capacity(14, "dense", limit=14)
-
-    @pytest.mark.skipif(sys.maxsize != 2**63 - 1, reason="caps are for a 64-bit build")
-    def test_raised_limit_stops_where_numpy_can_no_longer_index(self):
-        # 8 * 2^59 bytes of populations and 16 * 4^29 bytes of matrix are
-        # addressable; one spin more is not.
-        ensure_capacity(59, "diagonal", limit=100)
-        ensure_capacity(29, "dense", limit=100)
-        with pytest.raises(CapacityError, match="capacity of 59$"):
-            ensure_capacity(60, "diagonal", limit=100)
-        with pytest.raises(CapacityError, match="capacity of 29$"):
-            ensure_capacity(30, "dense", limit=100)
+        # a given limit only lowers the cap
+        with pytest.raises(CapacityError, match="capacity of 13$"):
+            ensure_capacity(14, "dense", limit=14)
+        ensure_capacity(3, "diagonal", limit=3)
+        with pytest.raises(CapacityError, match="capacity of 3$"):
+            ensure_capacity(4, "diagonal", limit=3)
 
 
 class TestPolarizationOperators:
