@@ -189,8 +189,9 @@ _PARSER = build_parser()  # one per process: each parse starts from a new Namesp
 
 def _resolve_table(args: argparse.Namespace) -> TruthTable:
     """Build or load the table; :func:`_ensure_fits` runs before a
-    generated table is allocated, and a file's --n and capacity are
-    checked from its data line's length before the line is parsed."""
+    generated table is allocated, --max-spins is checked before a file is
+    read, and a file's --n and capacity are checked from its data line's
+    length before the line is parsed."""
     source, n, seed = args.oracle, args.n, args.seed
     if source in _GENERATED_SOURCES:
         if n is None:
@@ -208,6 +209,7 @@ def _resolve_table(args: argparse.Namespace) -> TruthTable:
     path = source[5:] if source.startswith("file:") else source
     if not path:  # open() would read it as the current directory
         raise UsageError(f"argument --oracle: {source!r} names no table file")
+    _counted_backend(args)
     line = read_data_line(path)
     arity = table_arity(len(line))
     if n is not None and arity != n:
@@ -216,26 +218,34 @@ def _resolve_table(args: argparse.Namespace) -> TruthTable:
     return TruthTable.from_string(line)
 
 
-def _ensure_fits(args: argparse.Namespace, n: int) -> None:
-    """Raise :class:`CapacityError` if ``n`` inputs exceed a backend the command uses.
+def _counted_backend(args: argparse.Namespace) -> tuple[str, list[str]]:
+    """The backend a command counts against, from its flags alone, and what asked for dense.
 
     The pseudo-pure baseline runs dense, and the dense limit is the lower
-    one; the error names what asked for it. With the defaults, as for
-    ``spindj oracle``, the inputs and the ancilla meet the diagonal limit.
+    one. With the defaults, as for ``spindj oracle``, it is the diagonal one.
     A --max-spins can only lower that backend's limit; a higher one is a usage error.
     """
-    n_spins = _system(args, n).n_spins
     causes = [f"--backend {args.backend}"] if args.backend in ("dense", "both") else []
-    if _epsilon(args, n_spins) is not None:
+    if args.command == "sweep":
+        causes.append("the sweep's pseudo-pure baseline")
+    elif args.epsilon is not None or args.thermal_p is not None:
         flag = "--epsilon" if args.epsilon is not None else "--thermal-p"
-        causes.append("the sweep's pseudo-pure baseline" if args.command == "sweep"
-                      else f"the pseudo-pure baseline that {flag} asks for")
+        causes.append(f"the pseudo-pure baseline that {flag} asks for")
     backend = "dense" if causes else "diagonal"
     if args.max_spins is not None and args.max_spins > SPIN_LIMITS[backend]:
         raise UsageError(
             f"argument --max-spins: must be at most the {backend} backend's limit of "
             f"{SPIN_LIMITS[backend]}, got '{args.max_spins}'"
         )
+    return backend, causes
+
+
+def _ensure_fits(args: argparse.Namespace, n: int) -> None:
+    """Raise :class:`CapacityError` if ``n`` inputs exceed the backend the
+    command counts against (:func:`_counted_backend`), naming what asked for it."""
+    n_spins = _system(args, n).n_spins
+    _epsilon(args, n_spins)  # an epsilon(N) below the smallest normal float is refused first
+    backend, causes = _counted_backend(args)
     try:
         ensure_capacity(n_spins, backend, args.max_spins)
     except CapacityError as exc:

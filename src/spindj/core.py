@@ -267,55 +267,58 @@ class DiagonalState:
     the density operator whose diagonal equals ``populations`` and whose
     off-diagonal part vanishes. ``weights`` holds the occupancy packed one
     bit per configuration: bit i, in little bit order, is configuration i.
+    ``count`` is the number of present configurations; an XOR map, a
+    bijection, keeps it, so it is counted once, when the state is made.
     """
 
-    __slots__ = ("weights", "dim")
+    __slots__ = ("weights", "dim", "count")
 
     def __init__(self, occupancy):
         occupancy = np.asarray(occupancy)
         if occupancy.dtype != np.bool_ or occupancy.ndim != 1:
             raise ValueError(f"an occupancy is a vector of bools, not {occupancy.ndim}-d {occupancy.dtype}")
-        if not occupancy.any():
+        self.count = int(np.count_nonzero(occupancy))
+        if not self.count:
             raise ValueError("occupancy has no configuration set")
         self.dim = occupancy.shape[0]
         self.weights = np.packbits(occupancy, bitorder="little")
 
     @classmethod
-    def held(cls, bits: np.ndarray, dim: int) -> "DiagonalState":
-        """A state holding the packed ``bits`` of an occupancy of ``dim`` configurations, unchecked."""
+    def held(cls, bits: np.ndarray, dim: int, count: int) -> "DiagonalState":
+        """A state holding the packed ``bits`` of an occupancy of ``dim`` configurations,
+        ``count`` of them set, unchecked."""
         state = cls.__new__(cls)
-        state.weights, state.dim = bits, dim
+        state.weights, state.dim, state.count = bits, dim, count
         return state
 
     @property
     def populations(self) -> np.ndarray:
         """The float populations, a new float64 array (8 B per configuration)."""
-        return np.unpackbits(self.weights, count=self.dim, bitorder="little") / _count(self.weights)
+        return np.unpackbits(self.weights, count=self.dim, bitorder="little") / self.count
 
     @property
     def trace(self) -> float:
         return 1.0
 
     def longitudinal(self, spin: int) -> float:
-        """Tr(rho * 2Iz) of one spin, counted, exact for a power-of-two count."""
+        """Tr(rho * 2Iz) of one spin, counted, exact for a power-of-two count.
+
+        Only the alpha side is counted: the beta side is ``count`` less it."""
         if self.dim & (self.dim - 1):
             raise ValueError(f"a register of spins has 2^N configurations, not {self.dim}")
         n_spins = self.dim.bit_length() - 1
         if not 0 <= spin < n_spins:
             raise ValueError(f"spin index {spin} out of range for {n_spins} spins")
         run = 1 << (n_spins - 1 - spin)
-        if self.weights.size <= _INT_BYTES:  # Python ints; beta: run ones above run zeros
+        if self.weights.size <= _INT_BYTES:  # Python ints; alpha: the low run bits of each 2 * run
             bits, period = int.from_bytes(self.weights.tobytes(), "little"), (1 << 2 * run) - 1
-            beta = (bits & ((1 << self.dim) - 1) // period * ((1 << run) - 1) << run).bit_count()
-            alpha = bits.bit_count() - beta
+            alpha = (bits & ((1 << self.dim) - 1) // period * ((1 << run) - 1)).bit_count()
         elif run < 8:  # the spin is inside each byte: its alpha bits, counted by chunk
             chunks = np.split(self.weights, range(_CHUNK_BYTES, self.weights.size, _CHUNK_BYTES))
             alpha = sum(_count(chunk & _ALPHA_BYTES[run.bit_length() - 1]) for chunk in chunks)
-            beta = _count(self.weights) - alpha
         else:
-            halves = self.weights.reshape(1 << spin, 2, -1)
-            alpha, beta = _count(halves[:, 0]), _count(halves[:, 1])
-        return (alpha - beta) / (alpha + beta)
+            alpha = _count(self.weights.reshape(1 << spin, 2, -1)[:, 0])
+        return (2 * alpha - self.count) / self.count
 
     def __repr__(self) -> str:
         return f"DiagonalState(dim={self.dim}, trace={self.trace:.6g})"
@@ -474,7 +477,7 @@ def conjugate(state, transform, *, in_place: bool = False):
             weights, flags = state.weights, state.weights.flags
             if not (in_place and flags.writeable and flags.c_contiguous):
                 weights = weights.copy()
-            return DiagonalState.held(_masked_swap(weights, transform), state.dim)
+            return DiagonalState.held(_masked_swap(weights, transform), state.dim, state.count)
         if isinstance(state, StateVector):  # (U psi)[i] = psi[m(i)], m an involution
             return StateVector(state.amplitudes[transform.mapping])
         # (U rho U^†)[a, b] = rho[m(a), m(b)] for the map m, an involution: it swaps

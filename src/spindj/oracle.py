@@ -17,6 +17,11 @@ import numpy as np
 from .core import BasisPermutation, SpinSystem, _count, conjugate
 
 
+# A table of at most this many bytes is spread whole: testing it for equal bytes costs more
+# than the spread it could save.
+_WHOLE_SPREAD_BYTES = 128
+
+
 class TruthTableError(ValueError):
     """Malformed truth-table data (bad characters, bad length, bad file)."""
 
@@ -144,7 +149,9 @@ def reversible_oracle(system: SpinSystem, table: TruthTable) -> BasisPermutation
     detection spin, when present, is untouched. XOR makes the permutation
     an involution. The packed mask covers the I0-alpha half: without a
     detection spin it is the table's own bytes, viewed without a copy; with
-    one, the last spin, each table bit is spread twice, once, here.
+    one, the last spin, each table bit is spread twice, once, here. A table
+    of equal bytes (a constant one, say) is spread as its first byte,
+    whose two spread bytes then fill the mask.
     """
     if table.n != system.n_inputs:
         raise ValueError(
@@ -152,7 +159,11 @@ def reversible_oracle(system: SpinSystem, table: TruthTable) -> BasisPermutation
         )
     mask = table.packed
     if system.has_detection_spin:  # the mask ignores the last spin: each bit twice
-        mask = _spread_twice(mask)[: max(1, len(table) >> 2)]
+        if mask.size > _WHOLE_SPREAD_BYTES and mask.min() == mask.max():
+            mask = np.full(mask.size, _spread_twice(mask[:1]).view("<u2")[0], "<u2").view(np.uint8)
+        else:
+            mask = _spread_twice(mask)
+        mask = mask[: max(1, len(table) >> 2)]
     shape = (1,) + (2,) * (system.n_spins - 4) if system.n_spins > 3 else ()  # I0's axis has length 1
     return BasisPermutation.held(system.ancilla, mask.reshape(shape), system.n_spins)
 

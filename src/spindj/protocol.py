@@ -98,12 +98,13 @@ def prepare_liouville_input(system: SpinSystem) -> DiagonalState:
     in alpha (and the detection spin in alpha, when separate), zero
     elsewhere. Held as the occupancy of those states, written packed: the
     first half of the bits (I0 alpha; part of one byte below 16 states), all
-    set, or every other one (0x55 bytes) when the detection spin is separate.
+    set, or every other one (0x55 bytes) when the detection spin is separate:
+    2^n states, one per input.
     """
     dim = system.dim
     bits = np.zeros(-(-dim // 8), dtype=np.uint8)
     bits[: -(-dim // 16)] = (0x55 if system.has_detection_spin else 0xFF) & ((1 << min(dim // 2, 8)) - 1)
-    return DiagonalState.held(bits, dim)
+    return DiagonalState.held(bits, dim, 1 << system.n_inputs)
 
 
 def classify_signal(signal: float, tol: float = DEFAULT_SIGNAL_TOL) -> Verdict:

@@ -364,6 +364,24 @@ class TestRunCommand:
         assert err == f"usage error: argument --max-spins: must be at most {limit}, got '{cap}'\n"
 
     @pytest.mark.parametrize(
+        "backend, cap, limit",
+        [
+            ("diagonal", "30", "the diagonal backend's limit of 26"),
+            ("both", "14", "the dense backend's limit of 13"),
+        ],
+    )
+    def test_max_spins_above_the_limit_is_refused_before_a_table_file_is_read(
+        self, capsys, tmp_path, backend, cap, limit
+    ):
+        # The backend comes from the flags alone, so a file that is missing is never opened.
+        missing = tmp_path / "missing.tt"
+        code, out, err = run_cli(
+            capsys, "run", "--oracle", str(missing), "--backend", backend, "--max-spins", cap
+        )
+        assert (code, out) == (1, "")
+        assert err == f"usage error: argument --max-spins: must be at most {limit}, got '{cap}'\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             # below the dense limit of 13 that the sweep's baseline counts against

@@ -771,17 +771,36 @@ class TestXorPermutation:
             occupancy = rng.random(xor.dim) < 0.5
             want, bits = pack(occupancy[xor.mapping]), pack(occupancy)
             before = bits.copy()
-            copied = conjugate(DiagonalState.held(bits, xor.dim), xor)
+            count = int(np.count_nonzero(occupancy))
+            copied = conjugate(DiagonalState.held(bits, xor.dim, count), xor)
             assert np.array_equal(copied.weights, want)
             assert np.array_equal(bits, before)
             assert not np.shares_memory(copied.weights, bits)
-            handed = conjugate(DiagonalState.held(bits, xor.dim), xor, in_place=True)
+            handed = conjugate(DiagonalState.held(bits, xor.dim, count), xor, in_place=True)
             assert np.array_equal(handed.weights, want)
             assert np.shares_memory(handed.weights, bits)
             # A mask given as a strided view moves the occupancy as its contiguous copy does.
             strided = np.repeat(xor.control, 2, axis=-1)[..., ::2]
             back = conjugate(handed, BasisPermutation(xor.target, strided), in_place=True)
             assert np.array_equal(back.weights, before)
+
+    # An occupancy's count, made once, is kept by every map, and the readout that counts
+    # only the alpha side against it agrees with the float populations, by each kernel.
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_every_map_keeps_the_count_that_the_readout_reads(self, kernel, monkeypatch):
+        use_kernel(monkeypatch, kernel)
+        rng = np.random.default_rng(79)
+        for xor in xor_maps_up_to_five_spins():
+            occupancy = rng.random(xor.dim) < 0.5
+            occupancy[rng.integers(xor.dim)] = True
+            state = DiagonalState(occupancy)
+            assert state.count == np.count_nonzero(occupancy)
+            moved = conjugate(state, xor, in_place=True)
+            assert moved.count == state.count == int(np.bitwise_count(moved.weights).sum())
+            system = SpinSystem(xor.n_spins - 1)
+            for spin in range(xor.n_spins):
+                want = moved.populations @ pauli_z_diagonal(system, spin)
+                assert abs(moved.longitudinal(spin) - want) < 1e-12, (xor, spin)
 
     # Two to eight spins: under one byte, one byte, one 64-bit lane and several lanes;
     # every target, under every pattern of length-1 mask axes, by each kernel and count.
@@ -823,7 +842,8 @@ class TestXorPermutation:
             reversible_oracle(system, TruthTable.from_string("0110100110010110")),
             fanout_unitary(system, 0, system.detection),
         ):
-            out = conjugate(DiagonalState.held(bits, system.dim), xor, in_place=True)
+            state = DiagonalState.held(bits, system.dim, int(np.count_nonzero(before)))
+            out = conjugate(state, xor, in_place=True)
             assert np.array_equal(out.weights, pack(before[xor.mapping]))
             assert not np.shares_memory(out.weights, bits)
             assert np.array_equal(unpack(bits, system.dim), before)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spindj.core import DensityOperator, SpinSystem
+import spindj
+from spindj.core import BasisPermutation, DensityOperator, SpinSystem
 from spindj.oracle import (
     OracleClass,
     TruthTable,
@@ -274,13 +275,38 @@ class TestSpread:
             assert np.array_equal(_spread_twice(bits[:size]), doubled[: 2 * size])
 
     def test_oracle_masks_are_the_table_bytes_or_their_spread(self):
-        for n in range(1, 9):
-            table = random_table(n, n)
-            ancilla = reversible_oracle(SpinSystem(n), table)
-            assert np.shares_memory(ancilla.mask, table.packed)
-            separate = reversible_oracle(SpinSystem(n, has_detection_spin=True), table)
-            assert separate.mask.size == (1 if n == 1 else 1 << (n - 2))
-            assert not np.shares_memory(separate.mask, table.packed)
+        for n in range(1, 13):
+            for table in (random_table(n, n), TruthTable.constant(n, 1)):
+                ancilla = reversible_oracle(SpinSystem(n), table)
+                assert np.shares_memory(ancilla.mask, table.packed)
+                separate = reversible_oracle(SpinSystem(n, has_detection_spin=True), table)
+                assert separate.mask.size == (1 if n == 1 else 1 << (n - 2))
+                assert separate.mask.dtype == np.uint8 and separate.mask.flags.c_contiguous
+                assert not np.shares_memory(separate.mask, table.packed)
+
+    # Every one-byte table, and tables of equal bytes at n = 4..13, by the equal-bytes path
+    # (which a table of at most _WHOLE_SPREAD_BYTES takes only when that is 0) and by the
+    # default: the mask and map equal those of the whole table's spread. A 0x0F or 0xF0
+    # table spreads to two different bytes, which alternate; one byte repeated is wrong.
+    @pytest.mark.parametrize("whole_spread_bytes", [0, spindj.oracle._WHOLE_SPREAD_BYTES])
+    def test_a_table_of_equal_bytes_gives_the_mask_of_its_spread(
+        self, whole_spread_bytes, monkeypatch
+    ):
+        monkeypatch.setattr(spindj.oracle, "_WHOLE_SPREAD_BYTES", whole_spread_bytes)
+        tables = [table for n in (1, 2, 3) for table in all_tables(n)]
+        tables += [
+            TruthTable.held(np.full(1 << n >> 3, byte, np.uint8), n)
+            for n in range(4, 14)
+            for byte in (0x00, 0xFF, 0x0F, 0xF0, 0x55, 0xAA)
+        ]
+        for table in tables:
+            system = SpinSystem(table.n, has_detection_spin=True)
+            got = reversible_oracle(system, table)
+            spread = _spread_twice(table.packed)[: max(1, len(table) >> 2)]
+            want = BasisPermutation.held(0, spread.reshape(got.mask.shape), system.n_spins)
+            assert got.mask.dtype == np.uint8 and got.mask.flags.c_contiguous
+            assert np.array_equal(got.mask.reshape(-1), spread), table
+            assert np.array_equal(got.mapping, want.mapping), table
 
 
 class TestOracleChannel:

@@ -71,6 +71,12 @@ class TestPrepare:
         want[system.basis_index("010")] = 0.5
         assert_allclose(state.populations, want)
 
+    @pytest.mark.parametrize("separate", [False, True])
+    def test_the_prepared_count_is_one_configuration_per_input(self, separate):
+        for n in range(1, 13):
+            state = prepare_liouville_input(SpinSystem(n, has_detection_spin=separate))
+            assert state.count == 1 << n == int(np.bitwise_count(state.weights).sum())
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("separate", [False, True])
     def test_pulse_sequence_reproduces_closed_form(self, n, separate):
